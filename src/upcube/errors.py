@@ -26,7 +26,7 @@ class InvalidParams(UpcubeError):
 
 
 class TooLarge(UpcubeError):
-    """An exhaustive enumeration was requested beyond its size cap."""
+    """An enumeration or search was requested beyond its size cap."""
 
 
 class DimensionOverflow(UpcubeError):
@@ -55,3 +55,7 @@ class InvalidTolerance(UpcubeError):
 
 class UpsetFormatError(UpcubeError):
     """A .upset file is malformed."""
+
+
+class ScoreMismatch(UpcubeError):
+    """A hill climb's running score disagrees with a full rescore."""

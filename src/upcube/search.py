@@ -7,7 +7,16 @@ hill-climbs with count-preserving swap moves: insert a point whose
 supersets are all present, delete a minimal point, accept on ties so
 plateaus can be crossed.  All objective comparisons happen on integer
 numerators over the common denominator b^n, so the climb never touches
-floats or allocates Fractions in the hot loop.
+floats or allocates Fractions in the hot loop; `stop_at` becomes an
+integer ceiling before the loop starts.
+
+A swap changes the occupancy of exactly two points, so the climb scores
+it in O(1): the change follows from how many of the other two families
+hold each point and from its level weight.  The climb keeps the running
+score (and, for the min-part objective, the three part masses) and
+rescores only the final best triple in full, as an explicit cross-check.
+Each family's addable mask is cached until a move on that family is
+accepted, and the mask kernels run on raw bits, with no Family objects.
 """
 
 from __future__ import annotations
@@ -18,18 +27,26 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .setcube import (
+    N_MAX,
     Family,
-    addable_mask,
+    _addable_bits,
+    _minimal_bits,
     check_bias,
     level_masks,
     measure,
-    minimal_mask,
     occupancy,
     random_upset,
     select_bit,
 )
 from .constructions import TripleSystem
-from .errors import InvalidBias, InvalidDensity, InvalidParams, TooLarge
+from .errors import (
+    InvalidBias,
+    InvalidDensity,
+    InvalidParams,
+    OutOfRange,
+    ScoreMismatch,
+    TooLarge,
+)
 
 ENUM_MAX_N = 5
 EXHAUSTIVE_MAX_N = 4
@@ -85,12 +102,16 @@ class _Scorer:
             w * (bits & lm).bit_count() for w, lm in zip(self.weights, self.levels) if w
         )
 
+    def parts(self, bx: int, by: int, bz: int) -> list[int]:
+        """Scaled masses of the three exactly-one parts."""
+        return [
+            self._mass(bx & ~by & ~bz), self._mass(by & ~bx & ~bz), self._mass(bz & ~bx & ~by)
+        ]
+
     def score(self, bx: int, by: int, bz: int) -> int:
         if self.kind == "s1_density":
             return self._mass((bx & ~by & ~bz) | (by & ~bx & ~bz) | (bz & ~bx & ~by))
-        return min(
-            self._mass(bx & ~by & ~bz), self._mass(by & ~bx & ~bz), self._mass(bz & ~bx & ~by)
-        )
+        return min(self.parts(bx, by, bz))
 
 
 @dataclass(frozen=True)
@@ -158,16 +179,16 @@ def exhaustive_best(n: int, objective: SearchObjective) -> SearchResult:
     )
 
 
-def _random_upset_with_count(n: int, count: int, rng: random.Random) -> Family:
-    """A seeded random upset with exactly `count` members."""
+def _random_upset_with_count(n: int, count: int, rng: random.Random) -> int:
+    """Membership bits of a seeded random upset with exactly `count` members."""
     bits = random_upset(n, rng).bits
     while bits.bit_count() > count:
-        mm = minimal_mask(Family(n, bits))
+        mm = _minimal_bits(n, bits)
         bits &= ~(1 << select_bit(mm, rng.randrange(mm.bit_count())))
     while bits.bit_count() < count:
-        am = addable_mask(Family(n, bits))
+        am = _addable_bits(n, bits)
         bits |= 1 << select_bit(am, rng.randrange(am.bit_count()))
-    return Family(n, bits)
+    return bits
 
 
 def local_search(
@@ -185,7 +206,16 @@ def local_search(
     do not lower the score are accepted.  Deterministic per seed; returns
     the best triple seen (no optimality claim).  `stop_at` ends the climb
     early once the exact objective reaches the given value.
+
+    The score is a running integer (see the module docstring); the best
+    triple is rescored in full before returning, and a disagreement
+    raises ScoreMismatch.  n is checked against N_MAX before any mask
+    table is built.
     """
+    if n > N_MAX:
+        raise TooLarge(f"search capped at n={N_MAX}, got {n}")
+    if n < 0:
+        raise OutOfRange(f"dimension {n} is negative")
     rho_target = check_bias(rho_target)
     count_f = rho_target * (1 << n)
     if count_f.denominator != 1:
@@ -193,32 +223,66 @@ def local_search(
     count = count_f.numerator
     rng = random.Random(seed)
     scorer = _Scorer(n, objective)
-    fams = [_random_upset_with_count(n, count, rng).bits for _ in range(3)]
-    cur = scorer.score(*fams)
+    weights = scorer.weights
+    s1 = objective.kind == "s1_density"
+    fams = [_random_upset_with_count(n, count, rng) for _ in range(3)]
+    addable: list[int | None] = [None, None, None]  # per family, until it moves
+    parts = scorer.parts(*fams)
+    cur = sum(parts) if s1 else min(parts)
     best_score, best_fams = cur, tuple(fams)
-    stop_score = None if stop_at is None else Fraction(stop_at) * scorer.denom
+    # No score exceeds the total mass b^n, so denom + 1 means "never stop".
+    if stop_at is None:
+        stop_score = scorer.denom + 1
+    else:
+        stop_frac = Fraction(stop_at) * scorer.denom
+        stop_score = -(-stop_frac.numerator // stop_frac.denominator)
     it = 0
-    while it < max_iters and not (stop_score is not None and best_score >= stop_score):
+    while it < max_iters and best_score < stop_score:
         it += 1
         f = rng.randrange(3)
         bits = fams[f]
-        am = addable_mask(Family(n, bits))
+        am = addable[f]
+        if am is None:
+            am = addable[f] = _addable_bits(n, bits)
         if not am:
             continue
         a = select_bit(am, rng.randrange(am.bit_count()))
         grown = bits | 1 << a
-        mm = minimal_mask(Family(n, grown)) & ~(1 << a)
+        mm = _minimal_bits(n, grown) & ~(1 << a)
         if not mm:
             continue
         r = select_bit(mm, rng.randrange(mm.bit_count()))
-        cand = grown & ~(1 << r)
-        trial = fams.copy()
-        trial[f] = cand
-        s = scorer.score(*trial)
+        # a joins family f and r leaves it; g = fams[f - 2] and h = fams[f - 1]
+        # are the other two (negative indices wrap).
+        g, h = fams[f - 2], fams[f - 1]
+        ga, ha, gr, hr = g >> a & 1, h >> a & 1, g >> r & 1, h >> r & 1
+        ca, cr = ga + ha, gr + hr
+        wa, wr = weights[a.bit_count()], weights[r.bit_count()]
+        if s1:
+            s = cur + wa * ((ca == 0) - (ca == 1)) + wr * ((cr == 1) - (cr == 0))
+        else:
+            new = parts.copy()
+            if ca == 0:
+                new[f] += wa
+            elif ca == 1:
+                new[f - 2 if ga else f - 1] -= wa
+            if cr == 0:
+                new[f] -= wr
+            elif cr == 1:
+                new[f - 2 if gr else f - 1] += wr
+            s = min(new)
         if s >= cur:
-            fams, cur = trial, s
+            fams[f] = grown & ~(1 << r)
+            addable[f] = None
+            cur = s
+            if not s1:
+                parts = new
             if s > best_score:
-                best_score, best_fams = s, tuple(trial)
+                best_score, best_fams = s, tuple(fams)
+    if scorer.score(*best_fams) != best_score:
+        raise ScoreMismatch(
+            f"running score {best_score} disagrees with a full rescore (n={n}, seed={seed})"
+        )
     triple = TripleSystem(
         *(Family(n, b) for b in best_fams), label=f"local(n={n},seed={seed})"
     )

@@ -231,9 +231,13 @@ def minimal_mask(fam: Family) -> int:
     For an upward closed family these are exactly its inclusion-minimal
     members, the antichain generating it.
     """
-    bits = fam.bits
+    return _minimal_bits(fam.n, fam.bits)
+
+
+def _minimal_bits(n: int, bits: int) -> int:
+    """minimal_mask on a raw membership vector (no Family is built)."""
     out = bits
-    for i, absent in enumerate(absent_masks(fam.n)):
+    for i, absent in enumerate(absent_masks(n)):
         out &= ~((bits & absent) << (1 << i))
     return out
 
@@ -244,9 +248,13 @@ def addable_mask(fam: Family) -> int:
     For upward closed fam these are the points all of whose one-element
     supersets are already members.
     """
-    bits = fam.bits
-    out = full_mask(fam.n) & ~bits
-    for i, absent in enumerate(absent_masks(fam.n)):
+    return _addable_bits(fam.n, fam.bits)
+
+
+def _addable_bits(n: int, bits: int) -> int:
+    """addable_mask on a raw membership vector (no Family is built)."""
+    out = full_mask(n) & ~bits
+    for i, absent in enumerate(absent_masks(n)):
         out &= ~absent | ((bits >> (1 << i)) & absent)
     return out
 

@@ -6,6 +6,7 @@ so agreement is meaningful.  Families cross the boundary as plain sets of
 point masks.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -97,3 +98,74 @@ def popcount_numpy(x: int) -> int:
         return 0
     raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     return int(np.unpackbits(raw).sum())
+
+
+def naive_local_search(n, rho, kind, p, seed, max_iters, stop_at=None):
+    """Reference hill climb: rescores the whole triple after every move.
+
+    Makes the same seeded draws in the same order as `local_search`, but
+    on plain point sets, with minimal/addable points found by one-step
+    subset tests (exact for upsets) and each score summed point by point.
+    Returns (three point sets, exact value, iterations).
+    """
+    rng = random.Random(seed)
+    count = rho * (1 << n)
+    assert count.denominator == 1
+    a, b = p.numerator, p.denominator
+    weight = [a**k * (b - a) ** (n - k) for k in range(n + 1)]
+
+    def minimal(pts):
+        return sorted(
+            m for m in pts if not any(m & ~(1 << j) in pts for j in range(n) if m >> j & 1)
+        )
+
+    def addable(pts):
+        return sorted(
+            x
+            for x in range(1 << n)
+            if x not in pts and all(x | 1 << j in pts for j in range(n) if not x >> j & 1)
+        )
+
+    def random_upset_with_count():
+        gens = rng.randint(1, max(1, 1 << max(n - 1, 0)))
+        pts = naive_up_closure(n, {rng.randrange(1 << n) for _ in range(gens)})
+        while len(pts) > count:
+            mins = minimal(pts)
+            pts.remove(mins[rng.randrange(len(mins))])
+        while len(pts) < count:
+            adds = addable(pts)
+            pts.add(adds[rng.randrange(len(adds))])
+        return pts
+
+    def score(fams):
+        parts = [0, 0, 0]
+        for m in range(1 << n):
+            holders = [i for i in range(3) if m in fams[i]]
+            if len(holders) == 1:
+                parts[holders[0]] += weight[m.bit_count()]
+        return sum(parts) if kind == "s1_density" else min(parts)
+
+    fams = [random_upset_with_count() for _ in range(3)]
+    cur = score(fams)
+    best, best_fams = cur, fams
+    it = 0
+    while it < max_iters and not (stop_at is not None and Fraction(best, b**n) >= stop_at):
+        it += 1
+        f = rng.randrange(3)
+        adds = addable(fams[f])
+        if not adds:
+            continue
+        x = adds[rng.randrange(len(adds))]
+        grown = fams[f] | {x}
+        mins = [m for m in minimal(grown) if m != x]
+        if not mins:
+            continue
+        r = mins[rng.randrange(len(mins))]
+        trial = list(fams)
+        trial[f] = grown - {r}
+        s = score(trial)
+        if s >= cur:
+            fams, cur = trial, s
+            if s > best:
+                best, best_fams = s, trial
+    return best_fams, Fraction(best, b**n), it

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import upcube as uc
+from upcube import cli
 from upcube.cli import dec10, main, rat
 
 
@@ -249,6 +250,12 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--n", "5", "--rho", "1/3")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["30", "-1"])
+    def test_dimension_out_of_range(self, capsys, n):
+        code, out, err = run(capsys, "search", "--n", n, "--rho", "1/2")
+        assert code == 2
+        assert "error:" in err and out == ""
+
 
 class TestPoset:
     def test_diamond(self, capsys):
@@ -341,3 +348,21 @@ class TestPlumbing:
     def test_no_verb(self, capsys):
         code, out, err = run(capsys)
         assert code == 2
+
+    def test_shared_parser_matches_fresh_parser(self, capsys, monkeypatch):
+        argvs = [
+            ("search", "--n", "3", "--rho", "1/2", "--iters", "40", "--p", "1/3"),
+            ("bound", "--rho", "1/3", "--format", "text"),
+            ("bound", "--rho", "1/2", "--frobnicate"),
+            ("search", "--n", "3", "--rho", "1/2", "--iters", "40"),
+            ("verify", "q5"),
+            ("lp", "--rho", "one half"),
+            ("lp", "--rho", "1/3"),
+            ("poset", "--diamond"),
+        ]
+        shared = [run(capsys, *argv) for argv in argvs]
+        assert cli._shared_parser() is cli._shared_parser()
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [run(capsys, *argv) for argv in argvs]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 2, 0, 0]

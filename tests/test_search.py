@@ -1,10 +1,22 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import upcube as uc
-from upcube.errors import InvalidBias, InvalidDensity, InvalidParams, TooLarge
+from oracles import naive_local_search
+from upcube import search as search_mod
+from upcube.errors import (
+    InvalidBias,
+    InvalidDensity,
+    InvalidParams,
+    OutOfRange,
+    ScoreMismatch,
+    TooLarge,
+)
 from upcube.search import DEDEKIND, part_measures
 
 
@@ -137,6 +149,65 @@ class TestLocalSearch:
     def test_value_always_recomputable(self, seed):
         res = uc.local_search(3, Fraction(1, 2), uc.SearchObjective(), seed=seed, max_iters=60)
         assert res.value == uc.SearchObjective().value(res.triple)
+
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, 1 << n))
+        ),
+        st.sampled_from(["s1_density", "min_part_density"]),
+        st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 8), Fraction(5, 7)]),
+        st.integers(0, 10**6),
+        st.integers(0, 120),
+        st.none() | st.fractions(0, Fraction(1, 2), max_denominator=64),
+    )
+    def test_matches_full_rescore_oracle(self, n_count, kind, p, seed, max_iters, stop_at):
+        n, count = n_count
+        rho = Fraction(count, 1 << n)
+        res = uc.local_search(
+            n, rho, uc.SearchObjective(kind=kind, bias=p),
+            seed=seed, max_iters=max_iters, stop_at=stop_at,
+        )
+        fams, value, iterations = naive_local_search(n, rho, kind, p, seed, max_iters, stop_at)
+        assert [set(f) for f in (res.triple.x, res.triple.y, res.triple.z)] == fams
+        assert (res.value, res.iterations, res.seed) == (value, iterations, seed)
+
+    def test_size_checked_before_allocation(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"mask table for n={n} requested")
+
+        for mod in (uc.setcube, search_mod):
+            for name in ("level_masks", "absent_masks", "full_mask"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        with pytest.raises(TooLarge):
+            uc.local_search(30, Fraction(1, 2), uc.SearchObjective())
+        with pytest.raises(TooLarge):
+            uc.local_search(10**12, Fraction(1, 2), uc.SearchObjective())
+        with pytest.raises(OutOfRange):
+            uc.local_search(-1, Fraction(1, 2), uc.SearchObjective())
+
+    def test_running_score_cross_checked(self, monkeypatch):
+        monkeypatch.setattr(search_mod._Scorer, "score", lambda self, *fams: -1)
+        with pytest.raises(ScoreMismatch):
+            uc.local_search(4, Fraction(1, 2), uc.SearchObjective(), seed=1, max_iters=50)
+
+    def test_cross_check_survives_optimize_flag(self):
+        code = (
+            "from fractions import Fraction\n"
+            "import upcube as uc\n"
+            "from upcube import search\n"
+            "from upcube.errors import ScoreMismatch\n"
+            "search._Scorer.score = lambda self, *fams: -1\n"
+            "try:\n"
+            "    uc.local_search(4, Fraction(1, 2), uc.SearchObjective(), max_iters=50)\n"
+            "except ScoreMismatch:\n"
+            "    raise SystemExit(7)\n"
+        )
+        src = str(Path(uc.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env={"PYTHONPATH": src}, capture_output=True
+        )
+        assert proc.returncode == 7, proc.stderr
 
 
 class TestRestarts:
