@@ -51,6 +51,10 @@ def _rat_arg(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {s!r}") from None
 
 
+def _rat_list_arg(s: str) -> list[Fraction]:
+    return [_rat_arg(tok) for tok in s.split(",")]
+
+
 def _profile_block(prof: OccupancyProfile) -> dict:
     return {
         "counts": list(prof.counts),
@@ -252,7 +256,7 @@ def _cmd_lp(args) -> tuple[dict, int]:
 
 def _cmd_qcurve(args) -> tuple[dict, int]:
     if args.points:
-        grid = [Fraction(tok) for tok in args.points.split(",")]
+        grid = args.points
     elif args.grid:
         grid = [Fraction(i, args.grid) for i in range(args.grid + 1)]
     else:
@@ -304,6 +308,8 @@ def _cmd_build(args) -> tuple[dict, int]:
         triple = constructions.q5_triple()
         params = {"target": "q5"}
     else:  # kahn
+        if args.l is None:
+            raise InvalidParams("build kahn needs --l")
         triple = constructions.kahn_triple(constructions.ConstructionParams(args.n, args.l))
         params = {"target": "kahn", "n": args.n, "l": args.l}
     results = {"label": triple.label, "counts": [triple.x.count, triple.y.count, triple.z.count]}
@@ -539,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--grid", type=int)
-    p.add_argument("--points", help="comma-separated biases, e.g. 1/3,3/8")
+    p.add_argument("--points", type=_rat_list_arg, help="comma-separated biases, e.g. 1/3,3/8")
     p.set_defaults(handler=_cmd_qcurve)
 
     p = add_parser("build", help="construct named families / triples")

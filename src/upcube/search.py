@@ -27,11 +27,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .setcube import (
-    N_MAX,
     Family,
     _addable_bits,
     _minimal_bits,
     check_bias,
+    check_dim,
     level_masks,
     measure,
     occupancy,
@@ -43,7 +43,6 @@ from .errors import (
     InvalidBias,
     InvalidDensity,
     InvalidParams,
-    OutOfRange,
     ScoreMismatch,
     TooLarge,
 )
@@ -212,10 +211,7 @@ def local_search(
     raises ScoreMismatch.  n is checked against N_MAX before any mask
     table is built.
     """
-    if n > N_MAX:
-        raise TooLarge(f"search capped at n={N_MAX}, got {n}")
-    if n < 0:
-        raise OutOfRange(f"dimension {n} is negative")
+    check_dim(n)
     rho_target = check_bias(rho_target)
     count_f = rho_target * (1 << n)
     if count_f.denominator != 1:

@@ -15,22 +15,39 @@ never enter any computation here.
 from __future__ import annotations
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import DimensionMismatch, InvalidBias, InvalidParams, NotUpwardClosed, OutOfRange
+from .errors import (
+    DimensionMismatch,
+    InvalidBias,
+    InvalidParams,
+    NotUpwardClosed,
+    OutOfRange,
+    TooLarge,
+)
 
 N_MAX = 24
 
 PointMask = int
 
 
+def check_dim(n: int) -> None:
+    """Reject a cube dimension outside 0..N_MAX before anything 2^n-sized exists."""
+    if n > N_MAX:
+        raise TooLarge(f"dimension {n} exceeds N_MAX={N_MAX}")
+    if n < 0:
+        raise OutOfRange(f"dimension {n} is negative")
+
+
 @lru_cache(maxsize=None)
 def full_mask(n: int) -> int:
     """Membership vector of the family containing every subset of [n]."""
+    check_dim(n)
     return (1 << (1 << n)) - 1
 
 
@@ -41,6 +58,7 @@ def absent_masks(n: int) -> tuple[int, ...]:
     Each mask is the 2^n-bit pattern 0^(2^i) 1^(2^i) repeated, built by
     doubling so construction is O(n) big-int operations.
     """
+    check_dim(n)
     size = 1 << n
     out = []
     for i in range(n):
@@ -56,6 +74,7 @@ def absent_masks(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def level_masks(n: int) -> tuple[int, ...]:
     """level_masks(n)[k] marks the points whose mask has exactly k set bits."""
+    check_dim(n)
     if n == 0:
         return (1,)
     prev = level_masks(n - 1)
@@ -91,11 +110,24 @@ def elements_from_mask(mask: PointMask) -> tuple[int, ...]:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of an int, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield the set bit positions of a nonnegative int, ascending.
+
+    One pass over the 64-bit words of mask, so each set bit costs O(1)
+    instead of a rewrite of the whole int.
+    """
+    if mask < 0:
+        raise OutOfRange("iter_bits needs a nonnegative mask")
+    data = mask.to_bytes(-(-mask.bit_length() // 64) * 8, sys.byteorder)
+    words = memoryview(data).cast("Q")  # native-endian words
+    if sys.byteorder == "big":
+        words = words[::-1]
+    base = 0
+    for word in words:
+        while word:
+            low = word & -word
+            yield base + low.bit_length() - 1
+            word ^= low
+        base += 64
 
 
 def select_bit(mask: int, idx: int) -> int:
@@ -195,12 +227,14 @@ def full_family(n: int) -> Family:
 
 def family_from_points(n: int, points: Iterable[PointMask]) -> Family:
     """Family containing exactly the given point masks (no closure taken)."""
-    bits = 0
+    check_dim(n)
+    size = 1 << n
+    buf = bytearray(max(1, size >> 3))
     for p in points:
-        if not 0 <= p < (1 << n):
+        if not 0 <= p < size:
             raise OutOfRange(f"point mask {p} outside Q_{n}")
-        bits |= 1 << p
-    return Family(n, bits)
+        buf[p >> 3] |= 1 << (p & 7)
+    return Family(n, int.from_bytes(buf, "little"))
 
 
 def up_closure(fam: Family) -> Family:
@@ -217,12 +251,21 @@ def up_closure(fam: Family) -> Family:
 
 
 def is_upward_closed(fam: Family) -> bool:
-    """True iff every one-element superset of a member is a member."""
-    bits = fam.bits
-    for i, absent in enumerate(absent_masks(fam.n)):
-        if ((bits & absent) << (1 << i)) & ~bits:
-            return False
-    return True
+    """True iff every one-element superset of a member is a member.
+
+    The verdict is cached on the immutable family, as `count` is, so the
+    constructors, the CLI verdicts and minimal_elements share one check.
+    """
+    cached = fam.__dict__.get("_upward_closed")
+    if cached is None:
+        bits = fam.bits
+        outside = full_mask(fam.n) ^ bits
+        cached = not any(
+            ((bits & absent) << (1 << i)) & outside
+            for i, absent in enumerate(absent_masks(fam.n))
+        )
+        fam.__dict__["_upward_closed"] = cached
+    return cached
 
 
 def minimal_mask(fam: Family) -> int:
@@ -238,7 +281,7 @@ def _minimal_bits(n: int, bits: int) -> int:
     """minimal_mask on a raw membership vector (no Family is built)."""
     out = bits
     for i, absent in enumerate(absent_masks(n)):
-        out &= ~((bits & absent) << (1 << i))
+        out ^= out & ((bits & absent) << (1 << i))
     return out
 
 

@@ -12,8 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 
+def naive_iter_bits(mask: int) -> list[int]:
+    """Set bit positions of a nonnegative int, by testing every position."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def fam_to_set(fam) -> set[int]:
-    return set(fam)
+    return set(naive_iter_bits(fam.bits))
 
 
 def is_superset_point(big: int, small: int) -> bool:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import upcube as uc
-from upcube import cli
+from upcube import cli, setcube
 from upcube.cli import dec10, main, rat
 
 
@@ -126,6 +126,12 @@ class TestQcurve:
         code, out, err = run(capsys, "qcurve", "--n", "7", "--l", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("points", ["abc", "1/0", "1/3,x"])
+    def test_bad_point_exit_2(self, capsys, points):
+        code, out, err = run(capsys, "qcurve", "--n", "5", "--l", "3", "--points", points)
+        assert code == 2 and out == ""
+        assert "error: argument --points: not a rational" in err
+
 
 class TestMeasureAndClosure:
     def test_measure(self, capsys, tmp_path):
@@ -216,6 +222,22 @@ class TestBuild:
         code, out, err = run(capsys, "build", "kahn", "--n", "5", "--l", "4")
         assert code == 2
         assert "error:" in err
+
+    def test_kahn_needs_l(self, capsys):
+        code, out, err = run(capsys, "build", "kahn", "--n", "7")
+        assert code == 2 and out == ""
+        assert err == "error: build kahn needs --l\n"
+
+    @pytest.mark.parametrize("argv", [("threshold", "--l", "2"), ("dictator", "--i", "1")])
+    def test_dimension_checked_before_allocation(self, capsys, monkeypatch, argv):
+        # The limit is lowered so that a mask table skipping its check
+        # would allocate 2^5 bits, never the 2^30-bit ints of --n 30.
+        monkeypatch.setattr(setcube, "N_MAX", 4)
+        for cached in (setcube.full_mask, setcube.absent_masks, setcube.level_masks):
+            cached.cache_clear()
+        code, out, err = run(capsys, "build", argv[0], "--n", "5", *argv[1:])
+        assert code == 2 and out == ""
+        assert err == "error: dimension 5 exceeds N_MAX=4\n"
 
 
 class TestSearch:

@@ -6,11 +6,18 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import upcube as uc
-from upcube.errors import DimensionMismatch, InvalidBias, NotUpwardClosed, OutOfRange
+from upcube import setcube
+from upcube.errors import DimensionMismatch, InvalidBias, NotUpwardClosed, OutOfRange, TooLarge
 from upcube.setcube import (
+    N_MAX,
+    absent_masks,
     check_bias,
+    check_dim,
     elements_from_mask,
+    full_mask,
+    iter_bits,
     level_counts,
+    level_masks,
     mask_from_elements,
     occupancy_class_bits,
     parallel_bit_count,
@@ -22,6 +29,7 @@ from oracles import (
     fam_to_set,
     naive_addable,
     naive_is_upward_closed,
+    naive_iter_bits,
     naive_measure,
     naive_minimal,
     naive_occupancy_counts,
@@ -30,6 +38,14 @@ from oracles import (
 )
 
 HALF = Fraction(1, 2)
+
+# Masks around the 64-bit word edges of iter_bits, up to 2^12 bits wide.
+WORD_EDGES = (0, 1, 1 << 63, (1 << 64) - 1, 1 << 64, 1 << 65, (1 << 128) + 1)
+wide_masks = st.one_of(
+    st.sampled_from(WORD_EDGES),
+    st.builds(lambda e, k: e << k, st.sampled_from(WORD_EDGES), st.integers(0, 4096 - 130)),
+    st.builds(lambda e, x: e ^ x, st.sampled_from(WORD_EDGES), st.integers(0, (1 << 4096) - 1)),
+)
 
 
 class TestFamilyBasics:
@@ -55,6 +71,20 @@ class TestFamilyBasics:
         assert len(fam) == 2
         assert 0b101 in fam and 0b011 not in fam
         assert sorted(fam) == [0b101, 0b111]
+
+    @given(st.data())
+    def test_family_from_points_matches_set(self, data):
+        n = data.draw(st.integers(0, 6))
+        pts = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=1 << (n + 1)))
+        fam = uc.family_from_points(n, pts)
+        assert fam.n == n
+        assert fam.bits == sum(1 << p for p in set(pts))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_family_from_points_rejects_outside_points(self, n):
+        for bad in (-1, 1 << n, 1 << (n + 3)):
+            with pytest.raises(OutOfRange):
+                uc.family_from_points(n, [0, bad])
 
     def test_binary_ops_require_equal_dim(self):
         with pytest.raises(DimensionMismatch):
@@ -100,6 +130,17 @@ class TestClosure:
     @given(families())
     def test_is_upward_closed_matches_naive(self, fam):
         assert uc.is_upward_closed(fam) == naive_is_upward_closed(fam.n, fam_to_set(fam))
+
+    def test_is_upward_closed_checks_each_family_once(self, monkeypatch):
+        closed = uc.up_closure(uc.family_from_points(4, [0b0011]))
+        open_ = uc.family_from_points(4, [0b0011])
+        assert uc.is_upward_closed(closed) and not uc.is_upward_closed(open_)
+
+        def refuse(n):
+            raise AssertionError("closedness recomputed")
+
+        monkeypatch.setattr(setcube, "absent_masks", refuse)
+        assert uc.is_upward_closed(closed) and not uc.is_upward_closed(open_)
 
 
 class TestMinimalAndAddable:
@@ -307,6 +348,43 @@ class TestBitHelpers:
             assert select_bit(x, idx) == positions[idx]
         with pytest.raises(OutOfRange):
             select_bit(x, len(positions))
+
+
+class TestIterBits:
+    @given(wide_masks)
+    def test_matches_naive(self, x):
+        assert list(iter_bits(x)) == naive_iter_bits(x)
+
+    def test_rejects_negative_at_once(self):
+        with pytest.raises(OutOfRange):
+            next(iter_bits(-1))
+
+
+class TestDimensionChecks:
+    def test_check_dim(self):
+        check_dim(0)
+        check_dim(N_MAX)
+        for n in (N_MAX + 1, 30, 10**12):
+            with pytest.raises(TooLarge):
+                check_dim(n)
+        with pytest.raises(OutOfRange):
+            check_dim(-1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [full_mask, absent_masks, level_masks, lambda n: uc.family_from_points(n, [])],
+    )
+    def test_tables_check_before_allocating(self, monkeypatch, build):
+        # Under a lowered limit a function that skipped the check would
+        # build a small table and return, failing the test instead of
+        # allocating the 2^n-bit ints of a real oversized n.
+        monkeypatch.setattr(setcube, "N_MAX", 3)
+        for cached in (full_mask, absent_masks, level_masks):
+            cached.cache_clear()
+        with pytest.raises(TooLarge):
+            build(4)
+        with pytest.raises(OutOfRange):
+            build(-1)
 
 
 class TestRandomUpset:
