@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .setcube import check_bias
-from .errors import InvalidParams, InvalidRho, InvalidTolerance
+from .errors import InvalidParams, InvalidRho, InvalidTolerance, InvariantViolation
 
 Profile = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -141,8 +141,14 @@ def bound_maximizer(
             hi = m2
     rho_star = (lo + hi) / 2
     value = s1_upper_bound(rho_star)
-    assert (1 + rho_star) * value == 3 * rho_star * (1 - rho_star)
-    # certify |rho* - (sqrt(2)-1)| <= tolerance by squaring the sandwich
-    assert (rho_star + 1 - tolerance) ** 2 <= 2 <= (rho_star + 1 + tolerance) ** 2
-    assert (9 - value - tolerance) ** 2 <= 72 <= (9 - value + tolerance) ** 2
+    if (1 + rho_star) * value != 3 * rho_star * (1 - rho_star):
+        raise InvariantViolation(f"value {value} is off the bound curve at rho {rho_star}")
+    # certify |rho* - (sqrt(2)-1)| <= tolerance and |value* - (9-6sqrt(2))| <=
+    # tolerance by squaring each sandwich; a lower end below 0 holds as is
+    lo_r, lo_v = rho_star + 1 - tolerance, 9 - value - tolerance
+    if not (
+        (lo_r <= 0 or lo_r**2 <= 2) and 2 <= (rho_star + 1 + tolerance) ** 2
+        and (lo_v <= 0 or lo_v**2 <= 72) and 72 <= (9 - value + tolerance) ** 2
+    ):
+        raise InvariantViolation(f"({rho_star}, {value}) is not {tolerance}-close to the maximizer")
     return rho_star, value

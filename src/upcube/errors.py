@@ -59,3 +59,7 @@ class UpsetFormatError(UpcubeError):
 
 class ScoreMismatch(UpcubeError):
     """A hill climb's running score disagrees with a full rescore."""
+
+
+class InvariantViolation(UpcubeError):
+    """A computed result breaks an identity it must satisfy by construction."""

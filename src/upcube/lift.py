@@ -18,6 +18,7 @@ from .setcube import (
     Family,
     OccupancyProfile,
     absent_masks,
+    full_mask,
     is_upward_closed,
     level_masks,
     occupancy,
@@ -28,6 +29,7 @@ from .errors import (
     ClosureViolation,
     DimensionOverflow,
     InvalidParams,
+    InvariantViolation,
     NotUpwardClosed,
     TargetUnreachable,
 )
@@ -100,9 +102,9 @@ def topup_to_count(z0: Family, pool: Family, target: int) -> Family:
         raise ClosureViolation("pool overlaps the base family")
     if not is_upward_closed(z0):
         raise ClosureViolation("base family is not upward closed")
-    both = z0.bits | pool.bits
+    outside = full_mask(n) ^ (z0.bits | pool.bits)
     for i, absent in enumerate(absent_masks(n)):
-        if ((pool.bits & absent) << (1 << i)) & ~both:
+        if ((pool.bits & absent) << (1 << i)) & outside:
             raise ClosureViolation("a pool point has a superset outside base ∪ pool")
     need = target - z0.count
     if not 0 <= need <= pool.count:
@@ -151,9 +153,14 @@ class LiftReport:
     profile: OccupancyProfile
 
     def __post_init__(self) -> None:
-        assert self.n == self.b * self.m
-        assert self.deficit == self.target - self.z_pre_count >= 0
-        assert self.pool_count >= self.deficit
+        if self.n != self.b * self.m:
+            raise InvariantViolation(f"lifted dimension {self.n} != {self.b} * {self.m}")
+        if not self.deficit == self.target - self.z_pre_count >= 0:
+            raise InvariantViolation(
+                f"deficit {self.deficit} != target {self.target} - z_pre {self.z_pre_count} >= 0"
+            )
+        if self.pool_count < self.deficit:
+            raise InvariantViolation(f"pool {self.pool_count} cannot cover deficit {self.deficit}")
 
 
 def build_q21(workers: int = 1) -> tuple[TripleSystem, LiftReport]:
@@ -167,7 +174,8 @@ def build_q21(workers: int = 1) -> tuple[TripleSystem, LiftReport]:
     z0 = pull_back(base.z, g)
     pool = pull_back(base.x & base.y, g) - z0
     target_density = gadget_bias(g) * (1 << x.n)
-    assert target_density.denominator == 1
+    if target_density.denominator != 1:
+        raise InvariantViolation(f"target count {target_density} is not an integer")
     target = target_density.numerator
     z1 = topup_to_count(z0, pool, target)
     triple = TripleSystem(x, y, z1, label="q21")

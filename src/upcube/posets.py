@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .setcube import check_bias, iter_bits
-from .errors import InvalidBias, InvalidParams, NotUpwardClosed, TooLarge
+from .errors import InvalidBias, InvalidParams, InvariantViolation, NotUpwardClosed, TooLarge
 
 MAX_POSET = 20
 
@@ -176,7 +176,8 @@ def poset_occupancy(
     for i, w in enumerate(poset.weights):
         hits = (x >> i & 1) + (y >> i & 1) + (z >> i & 1)
         s[hits] += w
-    assert sum(s) == 1
+    if sum(s) != 1:
+        raise InvariantViolation(f"occupancy classes carry total weight {sum(s)}, not 1")
     return tuple(s)
 
 

@@ -29,10 +29,11 @@ from itertools import combinations_with_replacement
 from .setcube import (
     Family,
     _addable_bits,
+    _mass,
     _minimal_bits,
     check_bias,
     check_dim,
-    level_masks,
+    level_weights,
     measure,
     occupancy,
     random_upset,
@@ -84,32 +85,27 @@ def part_measures(triple: TripleSystem, p: Fraction) -> tuple[Fraction, Fraction
 class _Scorer:
     """Integer-numerator objective evaluation for the hot loop.
 
-    With bias a/b, a size-k point carries weight a^k (b-a)^(n-k); scores
-    are measures scaled by b^n, compared as plain ints.
+    With bias a/b, a size-k point carries weight a^k (b-a)^(n-k)
+    (`level_weights`); scores are measures scaled by b^n, compared as
+    plain ints.
     """
 
     def __init__(self, n: int, objective: SearchObjective):
-        a, b = objective.bias.numerator, objective.bias.denominator
         self.n = n
         self.kind = objective.kind
-        self.levels = level_masks(n)
-        self.weights = [a**k * (b - a) ** (n - k) for k in range(n + 1)]
-        self.denom = b**n
-
-    def _mass(self, bits: int) -> int:
-        return sum(
-            w * (bits & lm).bit_count() for w, lm in zip(self.weights, self.levels) if w
-        )
+        self.bias = objective.bias
+        self.weights, self.denom = level_weights(n, objective.bias)
 
     def parts(self, bx: int, by: int, bz: int) -> list[int]:
         """Scaled masses of the three exactly-one parts."""
+        n, p = self.n, self.bias
         return [
-            self._mass(bx & ~by & ~bz), self._mass(by & ~bx & ~bz), self._mass(bz & ~bx & ~by)
+            _mass(n, bx & ~by & ~bz, p), _mass(n, by & ~bx & ~bz, p), _mass(n, bz & ~bx & ~by, p)
         ]
 
     def score(self, bx: int, by: int, bz: int) -> int:
         if self.kind == "s1_density":
-            return self._mass((bx & ~by & ~bz) | (by & ~bx & ~bz) | (bz & ~bx & ~by))
+            return _mass(self.n, (bx & ~by & ~bz) | (by & ~bx & ~bz) | (bz & ~bx & ~by), self.bias)
         return min(self.parts(bx, by, bz))
 
 

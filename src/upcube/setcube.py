@@ -9,7 +9,9 @@ algebra) a handful of word-parallel shift/and/or passes instead of a
 per-point scan.
 
 Measures and biases are `fractions.Fraction` values throughout; floats
-never enter any computation here.
+never enter any computation here.  A measure at bias a/b is one exact
+integer sum of level weights a^k (b-a)^(n-k) over member popcounts,
+divided by b^n once at the end.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ from .errors import (
     DimensionMismatch,
     InvalidBias,
     InvalidParams,
+    InvariantViolation,
     NotUpwardClosed,
     OutOfRange,
     TooLarge,
 )
 
 N_MAX = 24
+
+HALF = Fraction(1, 2)
 
 PointMask = int
 
@@ -247,7 +252,9 @@ def up_closure(fam: Family) -> Family:
     bits = fam.bits
     for i, absent in enumerate(absent_masks(fam.n)):
         bits |= (bits & absent) << (1 << i)
-    return Family(fam.n, bits)
+    closed = Family(fam.n, bits)
+    closed.__dict__["_upward_closed"] = True  # closed by construction
+    return closed
 
 
 def is_upward_closed(fam: Family) -> bool:
@@ -331,15 +338,41 @@ def level_counts(fam: Family) -> tuple[int, ...]:
     return tuple((fam.bits & lm).bit_count() for lm in level_masks(fam.n))
 
 
+def level_weights(n: int, p: Fraction | int | str) -> tuple[tuple[int, ...], int]:
+    """Integer level weights at bias p = a/b: (a^k (b-a)^(n-k) for k = 0..n, b^n).
+
+    A point of size k has measure weights[k] / b^n, so the weights of all
+    2^n points sum to b^n.  At p = 0 or p = 1 a single weight is nonzero
+    (0^0 = 1).
+    """
+    p = check_bias(p)
+    a, b = p.numerator, p.denominator
+    return tuple(a**k * (b - a) ** (n - k) for k in range(n + 1)), b**n
+
+
+@lru_cache(maxsize=256)
+def _weighted_levels(n: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """(weight, level mask) of every level with a nonzero weight at bias a/b."""
+    weights, _ = level_weights(n, Fraction(a, b))
+    return tuple((w, lm) for w, lm in zip(weights, level_masks(n)) if w)
+
+
+def _mass(n: int, bits: int, p: Fraction) -> int:
+    """Measure of a membership vector scaled by b^n: sum of weights[k] * |level k|.
+
+    At p = 1/2 every weight is 1, so the mass is one popcount and no
+    level pass runs.
+    """
+    a, b = p.numerator, p.denominator
+    if b == 2:  # p = 1/2, the only bias in [0, 1] with denominator 2
+        return bits.bit_count()
+    return sum(w * (bits & lm).bit_count() for w, lm in _weighted_levels(n, a, b))
+
+
 def measure(fam: Family, p: Fraction | int | str) -> Fraction:
     """Exact product-measure of the family: sum of p^|A| (1-p)^(n-|A|)."""
     p = check_bias(p)
-    q = 1 - p
-    total = Fraction(0)
-    for k, c in enumerate(level_counts(fam)):
-        if c:
-            total += c * p**k * q ** (fam.n - k)
-    return total
+    return Fraction(_mass(fam.n, fam.bits, p), p.denominator**fam.n)
 
 
 @dataclass(frozen=True)
@@ -380,8 +413,13 @@ def occupancy(
     p = check_bias(p)
     classes = occupancy_class_bits(x, y, z)
     counts = tuple(parallel_bit_count(bits, workers) for bits in classes)
-    densities = tuple(measure(Family(x.n, bits), p) for bits in classes)
-    assert sum(densities) == 1 and sum(counts) == 1 << x.n
+    masses = counts if p == HALF else tuple(_mass(x.n, bits, p) for bits in classes)
+    denom = p.denominator**x.n
+    if sum(counts) != 1 << x.n or sum(masses) != denom:
+        raise InvariantViolation(
+            f"occupancy classes do not partition Q_{x.n}: counts {counts}, masses {masses}"
+        )
+    densities = tuple(Fraction(m, denom) for m in masses)
     return OccupancyProfile(counts, densities, p)
 
 

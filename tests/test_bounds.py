@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 
 import upcube as uc
-from upcube.errors import InvalidParams, InvalidRho, InvalidTolerance
+from upcube import bounds
+from upcube.errors import InvalidParams, InvalidRho, InvalidTolerance, InvariantViolation
 
 from cube_strategies import open_biases
 
@@ -128,6 +129,20 @@ class TestMaximizer:
     def test_value_beats_every_grid_point(self):
         _, value = uc.bound_maximizer(Fraction(1, 10**6))
         assert all(value >= uc.s1_upper_bound(r) - Fraction(1, 10**5) for r in GRID)
+
+    def test_certificate_checked(self, monkeypatch):
+        true_bound = uc.s1_upper_bound
+        monkeypatch.setattr(bounds, "s1_upper_bound", lambda r: true_bound(r) + Fraction(1, 10))
+        with pytest.raises(InvariantViolation, match="off the bound curve"):
+            uc.bound_maximizer(Fraction(1, 100))
+
+    @pytest.mark.parametrize("tol", [Fraction(3, 2), 10, 10**6])
+    def test_tolerance_wider_than_the_interval(self, tol):
+        # the sandwiches' lower ends are negative here, so squaring them
+        # must not be taken as a failed certificate
+        rho, value = uc.bound_maximizer(tol)
+        assert abs(rho - Fraction(41421356, 10**8)) <= tol
+        assert abs(value - Fraction(51471862, 10**8)) <= tol
 
     def test_bad_tolerance(self):
         with pytest.raises(InvalidTolerance):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from upcube.errors import (
     ClosureViolation,
     DimensionOverflow,
     InvalidParams,
+    InvariantViolation,
     NotUpwardClosed,
     TargetUnreachable,
 )
@@ -201,6 +203,15 @@ class TestBuildQ21:
     def test_z_density_is_exact_three_eighths(self, q21):
         triple, _ = q21
         assert uc.measure(triple.z, Fraction(1, 2)) == Fraction(3, 8)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"n": 20}, {"deficit": 108031}, {"target": 678401, "deficit": -1}, {"pool_count": 108029}],
+    )
+    def test_report_invariants_checked(self, q21, change):
+        _, report = q21
+        with pytest.raises(InvariantViolation):
+            dataclasses.replace(report, **change)
 
     def test_pool_ceiling(self, q21):
         # even promoting the whole pool stays below the measure needed

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 
 import upcube as uc
-from upcube.errors import InvalidBias, InvalidParams, NotUpwardClosed, TooLarge
+from upcube.errors import (
+    InvalidBias,
+    InvalidParams,
+    InvariantViolation,
+    NotUpwardClosed,
+    TooLarge,
+)
 from upcube.posets import (
     WeightedPoset,
     load_poset,
@@ -195,3 +201,9 @@ class TestPosetOccupancy:
         poset = uc.diamond_poset(Fraction(1, 2))
         with pytest.raises(NotUpwardClosed):
             uc.poset_occupancy(poset, 0b00001, 0, 0)
+
+    def test_normalization_checked(self):
+        poset = antichain(2)
+        object.__setattr__(poset, "weights", (Fraction(1, 2), Fraction(1, 3)))
+        with pytest.raises(InvariantViolation):
+            uc.poset_occupancy(poset, 0, 0, 0)

@@ -1,5 +1,9 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -7,7 +11,14 @@ import hypothesis.strategies as st
 
 import upcube as uc
 from upcube import setcube
-from upcube.errors import DimensionMismatch, InvalidBias, NotUpwardClosed, OutOfRange, TooLarge
+from upcube.errors import (
+    DimensionMismatch,
+    InvalidBias,
+    InvariantViolation,
+    NotUpwardClosed,
+    OutOfRange,
+    TooLarge,
+)
 from upcube.setcube import (
     N_MAX,
     absent_masks,
@@ -18,6 +29,7 @@ from upcube.setcube import (
     iter_bits,
     level_counts,
     level_masks,
+    level_weights,
     mask_from_elements,
     occupancy_class_bits,
     parallel_bit_count,
@@ -38,6 +50,9 @@ from oracles import (
 )
 
 HALF = Fraction(1, 2)
+
+# `biases` with the three special cases of the measure kernel always in reach.
+edge_biases = st.one_of(st.sampled_from((Fraction(0), HALF, Fraction(1))), biases)
 
 # Masks around the 64-bit word edges of iter_bits, up to 2^12 bits wide.
 WORD_EDGES = (0, 1, 1 << 63, (1 << 64) - 1, 1 << 64, 1 << 65, (1 << 128) + 1)
@@ -142,6 +157,18 @@ class TestClosure:
         monkeypatch.setattr(setcube, "absent_masks", refuse)
         assert uc.is_upward_closed(closed) and not uc.is_upward_closed(open_)
 
+    @given(families())
+    def test_closure_result_carries_closedness(self, fam):
+        closed = uc.up_closure(fam)
+
+        def refuse(n):
+            raise AssertionError("closedness of a closure result recomputed")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setcube, "absent_masks", refuse)
+            assert uc.is_upward_closed(closed)
+        assert naive_is_upward_closed(closed.n, fam_to_set(closed))
+
 
 class TestMinimalAndAddable:
     def test_minimal_examples(self):
@@ -242,6 +269,34 @@ class TestMeasure:
 
         assert level_counts(threshold(4, 2)) == (0, 0, 6, 4, 1)
 
+    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize(
+        "p", [Fraction(0), Fraction(1), HALF, Fraction(1, 3), Fraction(3, 8), Fraction(5, 7)]
+    )
+    def test_level_weights_match_fraction_formula(self, n, p):
+        weights, denom = level_weights(n, p)
+        assert denom == p.denominator**n
+        assert len(weights) == n + 1
+        assert all(isinstance(w, int) for w in weights)
+        assert [Fraction(w, denom) for w in weights] == [
+            p**k * (1 - p) ** (n - k) for k in range(n + 1)
+        ]
+        assert sum(comb(n, k) * w for k, w in enumerate(weights)) == denom
+
+    def test_level_weights_reject_bad_bias(self):
+        with pytest.raises(InvalidBias):
+            level_weights(3, Fraction(3, 2))
+
+    @given(families())
+    def test_half_is_one_popcount(self, fam):
+        def refuse(n):
+            raise AssertionError("level pass at p = 1/2")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setcube, "level_masks", refuse)
+            assert uc.measure(fam, HALF) == Fraction(fam.count, 1 << fam.n)
+            uc.occupancy(fam, fam, fam, HALF)
+
 
 class TestOccupancy:
     def test_triple_of_equal_upsets(self):
@@ -268,6 +323,48 @@ class TestOccupancy:
         prof = uc.occupancy(x, y, z, p)
         assert sum(prof.densities) == 1
         assert sum(prof.counts) == 1 << n
+
+    @given(st.data())
+    def test_densities_match_naive_measure(self, data):
+        n = data.draw(st.integers(0, 5))
+        x, y, z = (data.draw(families(n=n)) for _ in range(3))
+        p = data.draw(edge_biases)
+        prof = uc.occupancy(x, y, z, p)
+        sets = [fam_to_set(f) for f in (x, y, z)]
+        for i in range(4):
+            cls = {m for m in range(1 << n) if sum(m in s for s in sets) == i}
+            assert prof.densities[i] == naive_measure(n, cls, p)
+            assert prof.counts[i] == len(cls)
+
+    @pytest.mark.parametrize("p", [HALF, Fraction(1, 3)])
+    def test_normalization_checked(self, monkeypatch, p):
+        monkeypatch.setattr(setcube, "occupancy_class_bits", lambda x, y, z: (0, 0, 0, 0))
+        with pytest.raises(InvariantViolation):
+            uc.occupancy(uc.full_family(3), uc.full_family(3), uc.full_family(3), p)
+
+    def test_mass_normalization_checked(self, monkeypatch):
+        monkeypatch.setattr(setcube, "_mass", lambda n, bits, p: bits.bit_count())
+        with pytest.raises(InvariantViolation):
+            uc.occupancy(uc.full_family(3), uc.empty_family(3), uc.empty_family(3), Fraction(1, 3))
+
+    def test_normalization_check_survives_optimize_flag(self):
+        code = (
+            "from fractions import Fraction\n"
+            "import upcube as uc\n"
+            "from upcube import setcube\n"
+            "from upcube.errors import InvariantViolation\n"
+            "setcube.occupancy_class_bits = lambda x, y, z: (0, 0, 0, 0)\n"
+            "f = uc.full_family(3)\n"
+            "try:\n"
+            "    uc.occupancy(f, f, f, Fraction(1, 3))\n"
+            "except InvariantViolation:\n"
+            "    raise SystemExit(7)\n"
+        )
+        src = str(Path(uc.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env={"PYTHONPATH": src}, capture_output=True
+        )
+        assert proc.returncode == 7, proc.stderr
 
     def test_occupancy_class_bits_partition(self):
         from upcube.constructions import dictator, threshold
