@@ -86,7 +86,7 @@ def _write_triple(triple: constructions.TripleSystem, out: Path, stem: str) -> l
 
 def _verify_q5(args) -> tuple[dict, int]:
     triple = constructions.q5_triple()
-    prof = occupancy(triple.x, triple.y, triple.z, Fraction(1, 2), workers=args.threads)
+    prof = occupancy(triple.x, triple.y, triple.z, Fraction(1, 2))
     baseline = 3 * Fraction(1, 2) * Fraction(1, 2) ** 2
     results = {
         "label": triple.label,
@@ -113,7 +113,7 @@ def _verify_q5(args) -> tuple[dict, int]:
 def _verify_kahn(args) -> tuple[dict, int]:
     params = constructions.ConstructionParams(args.n, args.l, args.p)
     triple = constructions.kahn_triple(params)
-    prof = occupancy(triple.x, triple.y, triple.z, params.p, workers=args.threads)
+    prof = occupancy(triple.x, triple.y, triple.z, params.p)
     formula = constructions.q_formula(params)
     results = {
         "label": triple.label,
@@ -135,7 +135,7 @@ def _verify_kahn(args) -> tuple[dict, int]:
 
 
 def _verify_q21(args) -> tuple[dict, int]:
-    triple, rep = lift.build_q21(workers=args.threads)
+    triple, rep = lift.build_q21()
     return _q21_report("verify", rep, triple, files=None)
 
 
@@ -274,7 +274,7 @@ def _cmd_qcurve(args) -> tuple[dict, int]:
 def _cmd_build(args) -> tuple[dict, int]:
     out = Path(args.out) if args.out else None
     if args.target == "q21":
-        triple, rep = lift.build_q21(workers=args.threads)
+        triple, rep = lift.build_q21()
         files = None
         if out and not args.no_families:
             files = _write_triple(triple, out, "q21")
@@ -327,7 +327,7 @@ def _cmd_build(args) -> tuple[dict, int]:
 def _cmd_search(args) -> tuple[dict, int]:
     kind = {"s1": "s1_density", "min-part": "min_part_density"}[args.objective]
     objective = search.SearchObjective(kind=kind, bias=args.p)
-    seeds = list(range(args.seed, args.seed + args.restarts))
+    seeds = range(args.seed, args.seed + args.restarts)
     result = search.best_of_restarts(
         args.n, args.rho, objective, seeds, max_iters=args.iters, stop_at=args.stop_at
     )
@@ -514,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=7)
     p.add_argument("--l", type=int, default=3)
     p.add_argument("--p", type=_rat_arg, default=Fraction(1, 2))
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_verify)
 
     p = add_parser("measure", help="biased measure of a .upset family")
@@ -555,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int)
     p.add_argument("--out", help="directory for .upset artifacts")
     p.add_argument("--no-families", action="store_true", help="suppress .upset emission")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_build)
 
     p = add_parser("search", help="hill-climb triples of equal-count upsets")
@@ -566,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=100_000)
     p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--stop-at", type=_rat_arg, help="stop once the objective reaches this value")
+    p.add_argument("--stop-at", type=_rat_arg, help="stop all restarts once one reaches this value")
     p.add_argument("--out", help="directory for the winning triple's .upset files")
     p.set_defaults(handler=_cmd_search)
 

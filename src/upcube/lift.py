@@ -163,7 +163,7 @@ class LiftReport:
             raise InvariantViolation(f"pool {self.pool_count} cannot cover deficit {self.deficit}")
 
 
-def build_q21(workers: int = 1) -> tuple[TripleSystem, LiftReport]:
+def build_q21() -> tuple[TripleSystem, LiftReport]:
     """Lift the (n=7, l=3) triple at bias 3/8 into Q_21 and top Z up to
     density 3/8 exactly; the resulting uniform triple has exactly-one
     occupancy 937950/2^21 > 4/9."""
@@ -179,7 +179,7 @@ def build_q21(workers: int = 1) -> tuple[TripleSystem, LiftReport]:
     target = target_density.numerator
     z1 = topup_to_count(z0, pool, target)
     triple = TripleSystem(x, y, z1, label="q21")
-    profile = occupancy(x, y, z1, Fraction(1, 2), workers=workers)
+    profile = occupancy(x, y, z1, Fraction(1, 2))
     report = LiftReport(
         m=base.n,
         b=g.b,

@@ -15,8 +15,11 @@ it in O(1): the change follows from how many of the other two families
 hold each point and from its level weight.  The climb keeps the running
 score (and, for the min-part objective, the three part masses) and
 rescores only the final best triple in full, as an explicit cross-check.
-Each family's addable mask is cached until a move on that family is
-accepted, and the mask kernels run on raw bits, with no Family objects.
+Until a move on a family is accepted, the climb reuses its addable mask
+and the removal mask of each point drawn from it, so the many rejected
+moves run no mask kernel; the kernels work on raw bits, and `select_bit`
+is linear in the mask size.  With `stop_at`, the search, restarts
+included, ends at the first restart that reaches the value.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import Iterable
 
 from .setcube import (
     Family,
@@ -208,6 +212,8 @@ def local_search(
     table is built.
     """
     check_dim(n)
+    if max_iters < 0:
+        raise InvalidParams(f"max_iters must be nonnegative, got {max_iters}")
     rho_target = check_bias(rho_target)
     count_f = rho_target * (1 << n)
     if count_f.denominator != 1:
@@ -218,7 +224,10 @@ def local_search(
     weights = scorer.weights
     s1 = objective.kind == "s1_density"
     fams = [_random_upset_with_count(n, count, rng) for _ in range(3)]
-    addable: list[int | None] = [None, None, None]  # per family, until it moves
+    # Per family until it moves: the addable mask, and per drawn point a the
+    # minimal points of bits | a other than a.
+    addable: list[int | None] = [None, None, None]
+    removable: list[dict[int, int]] = [{}, {}, {}]
     parts = scorer.parts(*fams)
     cur = sum(parts) if s1 else min(parts)
     best_score, best_fams = cur, tuple(fams)
@@ -239,8 +248,9 @@ def local_search(
         if not am:
             continue
         a = select_bit(am, rng.randrange(am.bit_count()))
-        grown = bits | 1 << a
-        mm = _minimal_bits(n, grown) & ~(1 << a)
+        mm = removable[f].get(a)
+        if mm is None:
+            mm = removable[f][a] = _minimal_bits(n, bits | 1 << a) & ~(1 << a)
         if not mm:
             continue
         r = select_bit(mm, rng.randrange(mm.bit_count()))
@@ -264,8 +274,9 @@ def local_search(
                 new[f - 2 if gr else f - 1] += wr
             s = min(new)
         if s >= cur:
-            fams[f] = grown & ~(1 << r)
+            fams[f] = (bits | 1 << a) & ~(1 << r)
             addable[f] = None
+            removable[f] = {}
             cur = s
             if not s1:
                 parts = new
@@ -290,15 +301,22 @@ def best_of_restarts(
     n: int,
     rho_target: Fraction | int | str,
     objective: SearchObjective,
-    seeds: list[int],
+    seeds: Iterable[int],
     max_iters: int = 100_000,
     stop_at: Fraction | None = None,
 ) -> SearchResult:
-    """Best local_search outcome over several seeds (ties: smallest seed)."""
-    if not seeds:
+    """Best local_search outcome over the seeds, run in order (ties: smallest seed).
+
+    Keeps only the best so far, so seeds may be any iterable; with `stop_at`,
+    no further seed runs once the best value reaches it.
+    """
+    best: SearchResult | None = None
+    for s in seeds:
+        res = local_search(n, rho_target, objective, seed=s, max_iters=max_iters, stop_at=stop_at)
+        if best is None or (res.value, -res.seed) > (best.value, -best.seed):
+            best = res
+        if stop_at is not None and best.value >= stop_at:
+            break
+    if best is None:
         raise InvalidParams("need at least one seed")
-    results = [
-        local_search(n, rho_target, objective, seed=s, max_iters=max_iters, stop_at=stop_at)
-        for s in seeds
-    ]
-    return max(results, key=lambda r: (r.value, -r.seed))
+    return best

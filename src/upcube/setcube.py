@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -136,36 +135,28 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def select_bit(mask: int, idx: int) -> int:
-    """Position of the idx-th (ascending, 0-based) set bit of mask."""
-    base = 0
-    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
-        c = byte.bit_count()
-        if idx < c:
-            b = byte
-            while True:
-                low = b & -b
-                if idx == 0:
-                    return base + low.bit_length() - 1
-                idx -= 1
-                b ^= low
-        idx -= c
-        base += 8
-    raise OutOfRange(f"bit index {idx} beyond population of mask")
+    """Position of the idx-th (ascending, 0-based) set bit of mask.
 
-
-def parallel_bit_count(value: int, workers: int = 1) -> int:
-    """Population count, optionally split across a thread pool.
-
-    The byte-range split is deterministic, so the result is identical
-    for every worker count.
+    Halves the mask by popcount down to one 64-bit word, then clears its
+    lowest set bit idx times: linear in the size of the mask.
     """
-    if workers <= 1 or value.bit_length() < (1 << 16):
-        return value.bit_count()
-    data = value.to_bytes((value.bit_length() + 7) // 8, "little")
-    chunk = -(-len(data) // workers)
-    pieces = [data[i : i + chunk] for i in range(0, len(data), chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(lambda piece: int.from_bytes(piece, "little").bit_count(), pieces))
+    if mask < 0 or not 0 <= idx < mask.bit_count():
+        raise OutOfRange(f"bit index {idx} outside the population of mask")
+    base = 0
+    while mask.bit_length() > 64:
+        half = mask.bit_length() >> 1
+        low = mask & ((1 << half) - 1)
+        c = low.bit_count()
+        if idx < c:
+            mask = low
+        else:
+            idx -= c
+            mask >>= half
+            base += half
+    while idx:
+        mask &= mask - 1
+        idx -= 1
+    return base + (mask & -mask).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -407,12 +398,11 @@ def occupancy(
     y: Family,
     z: Family,
     p: Fraction | int | str = Fraction(1, 2),
-    workers: int = 1,
 ) -> OccupancyProfile:
     """Occupancy profile of a triple: how much of Q_n lies in exactly i of them."""
     p = check_bias(p)
     classes = occupancy_class_bits(x, y, z)
-    counts = tuple(parallel_bit_count(bits, workers) for bits in classes)
+    counts = tuple(bits.bit_count() for bits in classes)
     masses = counts if p == HALF else tuple(_mass(x.n, bits, p) for bits in classes)
     denom = p.denominator**x.n
     if sum(counts) != 1 << x.n or sum(masses) != denom:

@@ -17,6 +17,14 @@ def naive_iter_bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def naive_level_counts(fam) -> tuple[int, ...]:
+    """Number of members of each cardinality 0..n, point by point."""
+    counts = [0] * (fam.n + 1)
+    for m in naive_iter_bits(fam.bits):
+        counts[m.bit_count()] += 1
+    return tuple(counts)
+
+
 def fam_to_set(fam) -> set[int]:
     return set(naive_iter_bits(fam.bits))
 

@@ -75,7 +75,7 @@ def test_criterion_2_q_formula(announce):
 def test_criterion_3_q21_counterexample(announce):
     with announce(3, "Q_21 counterexample: S_1 count 937950, 9*937950 > 4*2^21"):
         t0 = time.perf_counter()
-        triple, rep = uc.build_q21(workers=1)
+        triple, rep = uc.build_q21()
         elapsed = time.perf_counter() - t0
         total = 1 << 21
         assert rep.x_count == rep.y_count == rep.z_post_count == 786432

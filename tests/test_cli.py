@@ -272,6 +272,21 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--n", "5", "--rho", "1/3")
         assert code == 2
 
+    def test_negative_iterations(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "5", "--rho", "1/2", "--iters", "-5")
+        assert code == 2
+        assert "error:" in err and out == ""
+
+    def test_restarts_are_streamed(self, capsys):
+        # a list of 10^9 seeds would not fit in memory; the climb stops at seed 5
+        code, rep = run_json(
+            capsys, "search", "--n", "5", "--rho", "1/2", "--restarts", "1000000000",
+            "--stop-at", "13/32", "--iters", "2000",
+        )
+        assert code == 0
+        assert rep["results"]["winning_seed"] == 5
+        assert rep["results"]["value"] == "13/32"
+
     @pytest.mark.parametrize("n", ["30", "-1"])
     def test_dimension_out_of_range(self, capsys, n):
         code, out, err = run(capsys, "search", "--n", n, "--rho", "1/2")

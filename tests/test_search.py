@@ -157,7 +157,7 @@ class TestLocalSearch:
         st.sampled_from(["s1_density", "min_part_density"]),
         st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 8), Fraction(5, 7)]),
         st.integers(0, 10**6),
-        st.integers(0, 120),
+        st.integers(0, 400),
         st.none() | st.fractions(0, Fraction(1, 2), max_denominator=64),
     )
     def test_matches_full_rescore_oracle(self, n_count, kind, p, seed, max_iters, stop_at):
@@ -186,6 +186,16 @@ class TestLocalSearch:
         with pytest.raises(OutOfRange):
             uc.local_search(-1, Fraction(1, 2), uc.SearchObjective())
 
+    def test_negative_iterations_rejected_before_start_up(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("start-up ran")
+
+        monkeypatch.setattr(search_mod, "_random_upset_with_count", refuse)
+        with pytest.raises(InvalidParams):
+            uc.local_search(5, Fraction(1, 2), uc.SearchObjective(), max_iters=-5)
+        with pytest.raises(AssertionError):
+            uc.local_search(5, Fraction(1, 2), uc.SearchObjective(), max_iters=0)
+
     def test_running_score_cross_checked(self, monkeypatch):
         monkeypatch.setattr(search_mod._Scorer, "score", lambda self, *fams: -1)
         with pytest.raises(ScoreMismatch):
@@ -211,6 +221,10 @@ class TestLocalSearch:
 
 
 class TestRestarts:
+    # At n = 5, rho = 1/2 and 2000 iterations, seeds 5 and 6 are the only
+    # ones of 0..7 that reach 13/32, the optimum.
+    Q5_ARGS = (5, Fraction(1, 2), uc.SearchObjective())
+
     def test_picks_best(self):
         obj = uc.SearchObjective()
         seeds = list(range(4))
@@ -228,7 +242,49 @@ class TestRestarts:
         ]
         top = max(r.value for r in singles)
         assert best.seed == min(r.seed for r in singles if r.value == top)
+        # with 2000 iterations, seeds 0, 1, 3 and 4 all stall at 11/32
+        best = uc.best_of_restarts(*self.Q5_ARGS, [4, 1, 3, 0], max_iters=2000)
+        assert (best.seed, best.value) == (0, Fraction(11, 32))
 
     def test_empty_seeds(self):
         with pytest.raises(InvalidParams):
             uc.best_of_restarts(3, Fraction(1, 2), uc.SearchObjective(), [])
+        with pytest.raises(InvalidParams):
+            uc.best_of_restarts(3, Fraction(1, 2), uc.SearchObjective(), range(4, 4))
+
+    def test_stop_at_ends_the_restarts(self, monkeypatch):
+        seen = []
+        climb = search_mod.local_search
+
+        def counting(*args, seed, **kwargs):
+            seen.append(seed)
+            return climb(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(search_mod, "local_search", counting)
+        best = uc.best_of_restarts(
+            *self.Q5_ARGS, range(8), max_iters=2000, stop_at=Fraction(13, 32)
+        )
+        assert best.seed == 5 and seen == [0, 1, 2, 3, 4, 5]
+        seen.clear()
+        uc.best_of_restarts(*self.Q5_ARGS, range(8), max_iters=2000)
+        assert seen == list(range(8))
+
+    def test_stop_at_report_matches_max_over_all_seeds(self):
+        stop = Fraction(13, 32)
+        singles = [
+            uc.local_search(*self.Q5_ARGS, seed=s, max_iters=2000, stop_at=stop) for s in range(8)
+        ]
+        old = max(singles, key=lambda r: (r.value, -r.seed))
+        best = uc.best_of_restarts(*self.Q5_ARGS, range(8), max_iters=2000, stop_at=stop)
+        assert (best.seed, best.value, best.iterations, best.triple) == (
+            old.seed, old.value, old.iterations, old.triple,
+        )
+
+    @pytest.mark.parametrize("make", [list, iter, lambda s: (x for x in s)])
+    def test_accepts_any_iterable_of_seeds(self, make):
+        obj = uc.SearchObjective()
+        want = uc.best_of_restarts(3, Fraction(1, 2), obj, range(2, 6), max_iters=200)
+        got = uc.best_of_restarts(3, Fraction(1, 2), obj, make(range(2, 6)), max_iters=200)
+        assert (got.seed, got.value, got.iterations, got.triple) == (
+            want.seed, want.value, want.iterations, want.triple,
+        )

@@ -32,7 +32,6 @@ from upcube.setcube import (
     level_weights,
     mask_from_elements,
     occupancy_class_bits,
-    parallel_bit_count,
     select_bit,
 )
 
@@ -428,23 +427,35 @@ class TestTwoSetExactlyOne:
 
 class TestBitHelpers:
     @given(st.integers(0, (1 << 300) - 1))
-    def test_parallel_bit_count_matches_numpy(self, x):
-        want = popcount_numpy(x)
-        assert x.bit_count() == want
-        for workers in (1, 2, 5):
-            assert parallel_bit_count(x, workers) == want
+    def test_bit_count_matches_numpy(self, x):
+        assert x.bit_count() == popcount_numpy(x)
 
-    def test_parallel_count_large(self):
-        x = (1 << 100000) - 1 ^ (1 << 500)
-        assert parallel_bit_count(x, 4) == 99999
-
-    @given(st.integers(1, (1 << 200) - 1))
+    @given(wide_masks)
     def test_select_bit(self, x):
-        positions = [i for i in range(x.bit_length()) if x >> i & 1]
-        for idx in range(0, len(positions), max(1, len(positions) // 5)):
-            assert select_bit(x, idx) == positions[idx]
+        positions = naive_iter_bits(x)
+        assert [select_bit(x, idx) for idx in range(len(positions))] == positions
         with pytest.raises(OutOfRange):
             select_bit(x, len(positions))
+
+    def test_select_bit_rejects_out_of_range_index(self):
+        # A negative index used to walk the mask forever, so the cases run in
+        # a child process whose hang fails the test instead of the suite.
+        code = (
+            "from upcube.errors import OutOfRange\n"
+            "from upcube.setcube import select_bit\n"
+            "cases = [(0b1011, -1), (1 << 8, -1), (1 << 8, -10**9), (1 << 4096, 1), (-5, 0)]\n"
+            "for mask, idx in cases:\n"
+            "    try:\n"
+            "        select_bit(mask, idx)\n"
+            "    except OutOfRange:\n"
+            "        continue\n"
+            "    raise SystemExit(f'select_bit({mask}, {idx}) did not raise')\n"
+        )
+        src = str(Path(uc.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestIterBits:
