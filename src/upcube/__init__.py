@@ -23,7 +23,6 @@ from .setcube import (
     Family,
     OccupancyProfile,
     addable_mask,
-    combine,
     elements_from_mask,
     empty_family,
     family_from_points,
@@ -36,7 +35,6 @@ from .setcube import (
     minimal_mask,
     occupancy,
     random_upset,
-    two_set_exactly_one,
     up_closure,
 )
 from .errors import UpcubeError
@@ -68,63 +66,3 @@ from .search import (
 from .upset_io import format_upset, parse_upset, read_upset, write_upset
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "N_MAX",
-    "ConstructionParams",
-    "Family",
-    "LPSolution",
-    "LiftGadget",
-    "LiftReport",
-    "OccupancyProfile",
-    "SearchObjective",
-    "SearchResult",
-    "TripleSystem",
-    "UpcubeError",
-    "WeightedPoset",
-    "addable_mask",
-    "best_of_restarts",
-    "bound_maximizer",
-    "build_q21",
-    "combine",
-    "diamond_poset",
-    "dictator",
-    "elements_from_mask",
-    "empty_family",
-    "enumerate_upsets",
-    "enumerate_upsets_qn",
-    "exhaustive_best",
-    "family_from_points",
-    "format_upset",
-    "full_family",
-    "gadget_bias",
-    "hk_defect",
-    "is_upward_closed",
-    "kahn_triple",
-    "local_search",
-    "lp_max_s1",
-    "mask_from_elements",
-    "measure",
-    "minimal_elements",
-    "minimal_mask",
-    "occupancy",
-    "optimal_profile",
-    "parse_upset",
-    "poset_hk_defect",
-    "poset_hk_scan",
-    "poset_occupancy",
-    "profile_feasible",
-    "pull_back",
-    "q5_triple",
-    "q_formula",
-    "qcurve",
-    "random_upset",
-    "read_upset",
-    "s1_upper_bound",
-    "three_eighths_gadget",
-    "threshold",
-    "topup_to_count",
-    "two_set_exactly_one",
-    "up_closure",
-    "write_upset",
-]

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .setcube import check_bias
-from .errors import InvalidParams, InvalidRho, InvalidTolerance, InvariantViolation
+from .errors import InvalidBias, InvalidParams, InvariantViolation
 
 Profile = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -88,7 +88,7 @@ def lp_max_s1(rho: Fraction | int | str) -> LPSolution:
     """
     rho = check_bias(rho)
     if not 0 < rho < 1:
-        raise InvalidRho(f"need 0 < rho < 1, got {rho}")
+        raise InvalidBias(f"need 0 < rho < 1, got {rho}")
     ineqs = _constraint_rows(rho)
     eq_rows = [
         (Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
@@ -104,7 +104,8 @@ def lp_max_s1(rho: Fraction | int | str) -> LPSolution:
             continue
         if best is None or sol[1] > best[0]:
             best = (sol[1], tuple(sol))
-    assert best is not None, "LP polytope is never empty for 0 < rho < 1"
+    if best is None:
+        raise InvariantViolation(f"no feasible basic point at rho {rho}: the polytope is empty")
     value, profile = best
     tight = tuple(
         name for name, row in ineqs if sum(c * v for c, v in zip(row, profile)) == 0
@@ -130,7 +131,7 @@ def bound_maximizer(
     """
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
-        raise InvalidTolerance(f"tolerance must be positive, got {tolerance}")
+        raise InvalidParams(f"tolerance must be positive, got {tolerance}")
     lo, hi = Fraction(0), Fraction(1)
     while hi - lo > tolerance / 2:
         third = (hi - lo) / 3

@@ -30,7 +30,7 @@ from .setcube import (
     up_closure,
 )
 from .errors import InvalidParams, UpcubeError
-from .upset_io import format_upset, parse_upset, write_upset
+from .upset_io import format_upset, read_upset, write_upset
 
 
 def rat(x: Fraction | int) -> str:
@@ -182,7 +182,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_measure(args) -> tuple[dict, int]:
-    fam = parse_upset(Path(args.family).read_text())
+    fam = read_upset(args.family)
     mu = measure(fam, args.p)
     results = {
         "family": str(args.family),
@@ -196,7 +196,7 @@ def _cmd_measure(args) -> tuple[dict, int]:
 
 
 def _cmd_closure(args) -> tuple[dict, int]:
-    raw = parse_upset(Path(args.family).read_text(), close=False)
+    raw = read_upset(args.family, close=False)
     closed = up_closure(raw)
     text = format_upset(closed)
     if args.out:
@@ -262,7 +262,7 @@ def _cmd_qcurve(args) -> tuple[dict, int]:
     else:
         raise InvalidParams("qcurve needs --grid or --points")
     rows = [
-        {"p": rat(p), "q": rat(q), "q_dec": dec10(q)}
+        {"p": rat(p), "q": rat(q), "q_dec": dec10(q), "exceeds_4_9": q > Fraction(4, 9)}
         for p, q in constructions.qcurve(args.n, args.l, grid)
     ]
     return _report("qcurve", {"n": args.n, "l": args.l}, {"rows": rows}, {})
@@ -275,9 +275,7 @@ def _cmd_build(args) -> tuple[dict, int]:
     out = Path(args.out) if args.out else None
     if args.target == "q21":
         triple, rep = lift.build_q21()
-        files = None
-        if out and not args.no_families:
-            files = _write_triple(triple, out, "q21")
+        files = _write_triple(triple, out, "q21") if out else None
         return _q21_report("build", rep, triple, files)
 
     if args.target in ("dictator", "threshold"):
@@ -553,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int)
     p.add_argument("--i", type=int)
     p.add_argument("--out", help="directory for .upset artifacts")
-    p.add_argument("--no-families", action="store_true", help="suppress .upset emission")
     p.set_defaults(handler=_cmd_build)
 
     p = add_parser("search", help="hill-climb triples of equal-count upsets")
@@ -601,10 +598,7 @@ def main(argv: list[str] | None = None) -> int:
             return code  # raw .upset already streamed to stdout
         _emit(report, args.format)
         return code
-    except UpcubeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UpcubeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

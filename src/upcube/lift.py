@@ -14,25 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .setcube import (
-    N_MAX,
     Family,
     OccupancyProfile,
-    absent_masks,
-    full_mask,
+    check_dim,
     is_upward_closed,
     level_masks,
     occupancy,
     up_closure,
 )
 from .constructions import ConstructionParams, TripleSystem, kahn_triple
-from .errors import (
-    ClosureViolation,
-    DimensionOverflow,
-    InvalidParams,
-    InvariantViolation,
-    NotUpwardClosed,
-    TargetUnreachable,
-)
+from .errors import InvalidParams, InvariantViolation, NotUpwardClosed
 
 
 @dataclass(frozen=True)
@@ -84,8 +75,7 @@ def pull_back(s: Family, g: LiftGadget) -> Family:
     Upward closedness of S transports to the result because I is upward closed.
     """
     n = g.b * s.n
-    if n > N_MAX:
-        raise DimensionOverflow(f"lifted dimension {n} exceeds N_MAX={N_MAX}")
+    check_dim(n)
     return Family(n, _lift_bits(s.bits, s.n, g.i_fam.bits, g.b))
 
 
@@ -99,18 +89,14 @@ def topup_to_count(z0: Family, pool: Family, target: int) -> Family:
     z0._check_dim(pool)
     n = z0.n
     if z0.bits & pool.bits:
-        raise ClosureViolation("pool overlaps the base family")
+        raise InvalidParams("pool overlaps the base family")
     if not is_upward_closed(z0):
-        raise ClosureViolation("base family is not upward closed")
-    outside = full_mask(n) ^ (z0.bits | pool.bits)
-    for i, absent in enumerate(absent_masks(n)):
-        if ((pool.bits & absent) << (1 << i)) & outside:
-            raise ClosureViolation("a pool point has a superset outside base ∪ pool")
+        raise NotUpwardClosed("base family is not upward closed")
+    if not is_upward_closed(z0 | pool):
+        raise NotUpwardClosed("a pool point has a superset outside base ∪ pool")
     need = target - z0.count
     if not 0 <= need <= pool.count:
-        raise TargetUnreachable(
-            f"target {target} outside [{z0.count}, {z0.count + pool.count}]"
-        )
+        raise InvalidParams(f"target {target} outside [{z0.count}, {z0.count + pool.count}]")
     taken = 0
     for k in range(n, -1, -1):
         if not need:

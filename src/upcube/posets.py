@@ -87,12 +87,33 @@ class WeightedPoset:
         return tuple(self.elements[i] for i in iter_bits(mask))
 
 
+def _grow_upsets(order: list[int], above: list[int]) -> list[int]:
+    """Every upset as a bitmask over element indices, in backtracking order.
+
+    `order` lists the elements top-down (each after everything above it)
+    and `above[i]` masks the elements above i.  An element may join only
+    once `above[i]` is in, so no branch dead-ends and every leaf of the
+    decision tree is a distinct upset.
+    """
+    found: list[int] = []
+
+    def grow(pos: int, mask: int) -> None:
+        if pos == len(order):
+            found.append(mask)
+            return
+        i = order[pos]
+        grow(pos + 1, mask)
+        if above[i] & ~mask == 0:
+            grow(pos + 1, mask | 1 << i)
+
+    grow(0, 0)
+    return found
+
+
 def enumerate_upsets(poset: WeightedPoset) -> list[int]:
     """All upward closed subsets as bitmasks, sorted by (size, mask).
 
-    Backtracks over a deterministic top-down linear extension; an element
-    may be included only when everything above it is already in, so no
-    branch ever dead-ends.
+    Backtracks over a deterministic top-down linear extension.
     """
     k = len(poset)
     if k > MAX_POSET:
@@ -105,20 +126,7 @@ def enumerate_upsets(poset: WeightedPoset) -> list[int]:
         nxt = min(ready)
         placed.append(nxt)
         remaining.remove(nxt)
-
-    found: list[int] = []
-
-    def grow(pos: int, mask: int) -> None:
-        if pos == k:
-            found.append(mask)
-            return
-        i = placed[pos]
-        grow(pos + 1, mask)
-        if ups[i] & ~mask == 0:
-            grow(pos + 1, mask | 1 << i)
-
-    grow(0, 0)
-    return sorted(found, key=lambda m: (m.bit_count(), m))
+    return sorted(_grow_upsets(placed, ups), key=lambda m: (m.bit_count(), m))
 
 
 def diamond_poset(p: Fraction | int | str) -> WeightedPoset:
@@ -181,14 +189,6 @@ def poset_occupancy(
     return tuple(s)
 
 
-def poset_to_json(poset: WeightedPoset) -> dict:
-    return {
-        "elements": list(poset.elements),
-        "covers": [list(c) for c in poset.covers],
-        "weights": [str(w) for w in poset.weights],
-    }
-
-
 def poset_from_json(data: dict) -> WeightedPoset:
     try:
         return WeightedPoset(
@@ -196,13 +196,13 @@ def poset_from_json(data: dict) -> WeightedPoset:
             covers=tuple((x, y) for x, y in data["covers"]),
             weights=tuple(Fraction(w) for w in data["weights"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParams(f"bad poset description: {exc}") from None
 
 
 def load_poset(path: str | Path) -> WeightedPoset:
-    return poset_from_json(json.loads(Path(path).read_text()))
-
-
-def save_poset(poset: WeightedPoset, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(poset_to_json(poset), indent=2) + "\n")
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise InvalidParams(f"bad poset file {path}: {exc}") from None
+    return poset_from_json(data)

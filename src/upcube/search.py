@@ -44,13 +44,8 @@ from .setcube import (
     select_bit,
 )
 from .constructions import TripleSystem
-from .errors import (
-    InvalidBias,
-    InvalidDensity,
-    InvalidParams,
-    ScoreMismatch,
-    TooLarge,
-)
+from .errors import InvalidBias, InvalidParams, InvariantViolation, TooLarge
+from .posets import _grow_upsets
 
 ENUM_MAX_N = 5
 EXHAUSTIVE_MAX_N = 4
@@ -125,25 +120,15 @@ def enumerate_upsets_qn(n: int) -> list[Family]:
     """Every upward closed family of Q_n exactly once (Dedekind many).
 
     Points are decided in descending-cardinality order; a point may join
-    only once all its one-larger supersets are in, so every leaf of the
-    decision tree is a distinct upset.
+    only once all its one-larger supersets are in.
     """
     if n > ENUM_MAX_N:
         raise TooLarge(f"upset enumeration capped at n={ENUM_MAX_N}, got {n}")
-    pts = sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
-    out: list[Family] = []
-
-    def grow(pos: int, bits: int) -> None:
-        if pos == len(pts):
-            out.append(Family(n, bits))
-            return
-        m = pts[pos]
-        grow(pos + 1, bits)
-        if all(bits >> (m | 1 << j) & 1 for j in range(n) if not m >> j & 1):
-            grow(pos + 1, bits | 1 << m)
-
-    grow(0, 0)
-    assert len(out) == DEDEKIND[n]
+    order = sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
+    above = [sum(1 << (m | 1 << j) for j in range(n) if not m >> j & 1) for m in range(1 << n)]
+    out = [Family(n, bits) for bits in _grow_upsets(order, above)]
+    if len(out) != DEDEKIND[n]:
+        raise InvariantViolation(f"{len(out)} upsets of Q_{n}, expected {DEDEKIND[n]}")
     return out
 
 
@@ -208,7 +193,7 @@ def local_search(
 
     The score is a running integer (see the module docstring); the best
     triple is rescored in full before returning, and a disagreement
-    raises ScoreMismatch.  n is checked against N_MAX before any mask
+    raises InvariantViolation.  n is checked against N_MAX before any mask
     table is built.
     """
     check_dim(n)
@@ -217,7 +202,7 @@ def local_search(
     rho_target = check_bias(rho_target)
     count_f = rho_target * (1 << n)
     if count_f.denominator != 1:
-        raise InvalidDensity(f"rho={rho_target} is not a multiple of 2^-{n}")
+        raise InvalidParams(f"rho={rho_target} is not a multiple of 2^-{n}")
     count = count_f.numerator
     rng = random.Random(seed)
     scorer = _Scorer(n, objective)
@@ -283,7 +268,7 @@ def local_search(
             if s > best_score:
                 best_score, best_fams = s, tuple(fams)
     if scorer.score(*best_fams) != best_score:
-        raise ScoreMismatch(
+        raise InvariantViolation(
             f"running score {best_score} disagrees with a full rescore (n={n}, seed={seed})"
         )
     triple = TripleSystem(

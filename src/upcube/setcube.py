@@ -26,7 +26,6 @@ from typing import Iterable, Iterator
 from .errors import (
     DimensionMismatch,
     InvalidBias,
-    InvalidParams,
     InvariantViolation,
     NotUpwardClosed,
     OutOfRange,
@@ -167,9 +166,8 @@ class Family:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= N_MAX:
-            raise OutOfRange(f"dimension {self.n} outside 0..{N_MAX}")
-        if not 0 <= self.bits <= full_mask(self.n):
+        # full_mask checks the dimension first, before any 2^n-bit int exists
+        if not full_mask(self.n) >= self.bits >= 0:
             raise OutOfRange(f"membership vector does not fit in Q_{self.n}")
 
     @property
@@ -307,23 +305,6 @@ def minimal_elements(fam: Family) -> list[PointMask]:
     return sorted(iter_bits(minimal_mask(fam)), key=lambda m: (m.bit_count(), m))
 
 
-def combine(op: str, a: Family, b: Family | None = None) -> Family:
-    """Boolean algebra on families: union | intersect | difference | complement."""
-    if op == "complement":
-        if b is not None:
-            raise InvalidParams("complement takes a single family")
-        return ~a
-    if b is None:
-        raise InvalidParams(f"{op} needs two families")
-    if op == "union":
-        return a | b
-    if op == "intersect":
-        return a & b
-    if op == "difference":
-        return a - b
-    raise InvalidParams(f"unknown operation {op!r}")
-
-
 def level_counts(fam: Family) -> tuple[int, ...]:
     """Number of members of each cardinality 0..n."""
     return tuple((fam.bits & lm).bit_count() for lm in level_masks(fam.n))
@@ -422,11 +403,6 @@ def hk_defect(u: Family, v: Family, p: Fraction | int | str) -> Fraction:
     u._check_dim(v)
     p = check_bias(p)
     return measure(u & v, p) - measure(u, p) * measure(v, p)
-
-
-def two_set_exactly_one(x: Family, y: Family, p: Fraction | int | str) -> Fraction:
-    """Exact measure of the symmetric difference of two families."""
-    return measure(x ^ y, check_bias(p))
 
 
 def random_upset(n: int, rng: random.Random, points: int | None = None) -> Family:

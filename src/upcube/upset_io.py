@@ -72,8 +72,13 @@ def format_upset(fam: Family) -> str:
     return "\n".join(out) + "\n"
 
 
-def read_upset(path: str | Path) -> Family:
-    return parse_upset(Path(path).read_text())
+def read_upset(path: str | Path, close: bool = True) -> Family:
+    """parse_upset of a file's text; a file that is not UTF-8 is malformed."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UpsetFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_upset(text, close)
 
 
 def write_upset(fam: Family, path: str | Path) -> None:

@@ -43,6 +43,27 @@ def naive_is_upward_closed(n: int, pts: set[int]) -> bool:
     )
 
 
+def naive_upsets_qn(n: int) -> list[set[int]]:
+    """Every upset of Q_n as a set of point masks, in the order of a per-point
+    backtracking: points decided by descending size (ties by mask), each
+    joining only once all its one-larger supersets are in; leaves in
+    depth-first order, the "leave out" branch first."""
+    pts = sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
+    out = []
+
+    def grow(pos: int, bits: int) -> None:
+        if pos == len(pts):
+            out.append({m for m in pts if bits >> m & 1})
+            return
+        m = pts[pos]
+        grow(pos + 1, bits)
+        if all(bits >> (m | 1 << j) & 1 for j in range(n) if not m >> j & 1):
+            grow(pos + 1, bits | 1 << m)
+
+    grow(0, 0)
+    return out
+
+
 def naive_minimal(pts: set[int]) -> set[int]:
     return {
         m

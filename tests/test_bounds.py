@@ -5,7 +5,7 @@ from hypothesis import given
 
 import upcube as uc
 from upcube import bounds
-from upcube.errors import InvalidParams, InvalidRho, InvalidTolerance, InvariantViolation
+from upcube.errors import InvalidBias, InvalidParams, InvariantViolation
 
 from cube_strategies import open_biases
 
@@ -93,10 +93,19 @@ class TestLP:
         assert uc.profile_feasible(sol.profile, rho)
 
     def test_degenerate_rho_rejected(self):
-        with pytest.raises(InvalidRho):
+        with pytest.raises(InvalidBias, match="need 0 < rho < 1"):
             uc.lp_max_s1(0)
-        with pytest.raises(InvalidRho):
+        with pytest.raises(InvalidBias, match="need 0 < rho < 1"):
             uc.lp_max_s1(1)
+
+    def test_empty_polytope_is_an_invariant_violation(self, monkeypatch):
+        # an added row -(s0+s1+s2+s3) >= 0 contradicts total mass 1, so no
+        # basic point is feasible; the check must not be a bare assert
+        rows = bounds._constraint_rows
+        infeasible = ("empty", (Fraction(-1),) * 4)
+        monkeypatch.setattr(bounds, "_constraint_rows", lambda rho: rows(rho) + [infeasible])
+        with pytest.raises(InvariantViolation, match="polytope is empty"):
+            uc.lp_max_s1(Fraction(1, 2))
 
     def test_profile_sums(self):
         rho = Fraction(2, 7)
@@ -145,7 +154,7 @@ class TestMaximizer:
         assert abs(value - Fraction(51471862, 10**8)) <= tol
 
     def test_bad_tolerance(self):
-        with pytest.raises(InvalidTolerance):
+        with pytest.raises(InvalidParams, match="tolerance must be positive"):
             uc.bound_maximizer(0)
-        with pytest.raises(InvalidTolerance):
+        with pytest.raises(InvalidParams, match="tolerance must be positive"):
             uc.bound_maximizer(Fraction(-1, 4))

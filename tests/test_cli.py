@@ -119,8 +119,15 @@ class TestQcurve:
                              "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "p,q,q_dec"
+        assert lines[0] == "p,q,q_dec,exceeds_4_9"
         assert len(lines) == 6
+
+    def test_exceeds_4_9_is_strict(self, capsys):
+        # q(7, 3, 1/3) is exactly 4/9, which does not exceed 4/9
+        code, rep = run_json(capsys, "qcurve", "--n", "7", "--l", "3", "--points", "1/3,3/8")
+        assert code == 0
+        rows = {row["p"]: row["exceeds_4_9"] for row in rep["results"]["rows"]}
+        assert rows == {"1/3": False, "3/8": True}
 
     def test_needs_grid_or_points(self, capsys):
         code, out, err = run(capsys, "qcurve", "--n", "7", "--l", "3")
@@ -177,6 +184,25 @@ class TestMeasureAndClosure:
         assert fam == uc.up_closure(uc.parse_upset(path.read_text(), close=False))
 
 
+@pytest.mark.parametrize(
+    "verb, suffix, content",
+    [
+        (("measure", "--family"), ".upset", b"n=3\n\xff\xfe\n"),
+        (("closure",), ".upset", b"n=3\n\xff\xfe\n"),
+        (("poset", "--file"), ".json", b""),
+        (("poset", "--file"), ".json", b'{"elements":["a"],"covers":[],"weights":[1e400]}'),
+    ],
+    ids=["measure-not-utf8", "closure-not-utf8", "poset-empty", "poset-weight-overflow"],
+)
+def test_bad_input_file_exits_2(capsys, tmp_path, verb, suffix, content):
+    path = tmp_path / f"input{suffix}"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *verb, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestBuild:
     def test_dictator_inline(self, capsys):
         code, rep = run_json(capsys, "build", "dictator", "--n", "4", "--i", "2")
@@ -213,7 +239,7 @@ class TestBuild:
         assert rep["results"]["label"] == "kahn(n=6,l=2)"
 
     def test_q21_no_families(self, capsys):
-        code, rep = run_json(capsys, "build", "q21", "--no-families")
+        code, rep = run_json(capsys, "build", "q21")
         assert code == 0
         assert rep["results"]["counts"] == [786432, 786432, 786432]
         assert "files" not in rep["results"]
@@ -307,27 +333,18 @@ class TestPoset:
         assert v["two_element_triple_matches_lp"]
 
     def test_file_poset(self, capsys, tmp_path):
-        from upcube.posets import save_poset
-
         path = tmp_path / "chain.json"
-        save_poset(
-            uc.WeightedPoset(
-                ("lo", "hi"), (("lo", "hi"),), (Fraction(1, 2), Fraction(1, 2))
-            ),
-            path,
-        )
+        chain = {"elements": ["lo", "hi"], "covers": [["lo", "hi"]], "weights": ["1/2", "1/2"]}
+        path.write_text(json.dumps(chain))
         code, rep = run_json(capsys, "poset", "--file", str(path))
         assert code == 0
         assert rep["results"]["upset_count"] == 3
         assert rep["verdicts"]["min_defect_nonneg"] is True
 
     def test_antichain_fails_hk(self, capsys, tmp_path):
-        from upcube.posets import save_poset
-
         path = tmp_path / "anti.json"
-        save_poset(
-            uc.WeightedPoset(("a", "b"), (), (Fraction(1, 2), Fraction(1, 2))), path
-        )
+        antichain = {"elements": ["a", "b"], "covers": [], "weights": ["1/2", "1/2"]}
+        path.write_text(json.dumps(antichain))
         code, out, err = run(capsys, "poset", "--file", str(path))
         assert code == 1  # honest failure: HK needs the cube's lattice structure
         rep = json.loads(out)

@@ -6,13 +6,12 @@ from hypothesis import given, strategies as st
 
 import upcube as uc
 from upcube.errors import (
-    ClosureViolation,
-    DimensionOverflow,
     InvalidParams,
     InvariantViolation,
     NotUpwardClosed,
-    TargetUnreachable,
+    TooLarge,
 )
+from upcube import lift
 from upcube.lift import LiftGadget, _lift_bits
 
 from cube_strategies import upsets
@@ -100,8 +99,16 @@ class TestPullBack:
     def test_dimension_overflow(self):
         g = uc.three_eighths_gadget()
         assert uc.pull_back(uc.full_family(8), g).n == 24  # exactly at the cap
-        with pytest.raises(DimensionOverflow):
+        with pytest.raises(TooLarge, match="dimension 27 exceeds N_MAX=24"):
             uc.pull_back(uc.full_family(9), g)
+
+    def test_dimension_checked_before_lifting(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lifted vector built")
+
+        monkeypatch.setattr(lift, "_lift_bits", refuse)
+        with pytest.raises(TooLarge):
+            uc.pull_back(uc.full_family(9), uc.three_eighths_gadget())
 
     def test_lift_bits_small_example(self):
         # m=1, b=1, I={1}: output block c copies hi for c=1, lo for c=0
@@ -146,27 +153,27 @@ class TestTopUp:
 
     def test_overlap_rejected(self):
         z = uc.threshold(3, 2)
-        with pytest.raises(ClosureViolation):
+        with pytest.raises(InvalidParams, match="pool overlaps the base family"):
             uc.topup_to_count(z, uc.threshold(3, 2), z.count)
 
     def test_open_base_rejected(self):
         bad = uc.Family(3, 1 << 0b001)
-        with pytest.raises(ClosureViolation):
+        with pytest.raises(NotUpwardClosed, match="base family is not upward closed"):
             uc.topup_to_count(bad, uc.empty_family(3), 1)
 
     def test_escaping_pool_rejected(self):
         # pool point {1} has superset {1,2} outside base ∪ pool
         z = uc.Family(3, 1 << 0b111)
         pool = uc.Family(3, 1 << 0b001)
-        with pytest.raises(ClosureViolation):
+        with pytest.raises(NotUpwardClosed, match="a pool point has a superset outside"):
             uc.topup_to_count(z, pool, 2)
 
     def test_unreachable_targets(self):
         z = uc.threshold(3, 2)
         pool = uc.threshold(3, 1) - z
-        with pytest.raises(TargetUnreachable):
+        with pytest.raises(InvalidParams, match="outside"):
             uc.topup_to_count(z, pool, z.count - 1)
-        with pytest.raises(TargetUnreachable):
+        with pytest.raises(InvalidParams, match="outside"):
             uc.topup_to_count(z, pool, z.count + pool.count + 1)
 
 

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import upcube as uc
-from oracles import naive_local_search
+from oracles import naive_local_search, naive_upsets_qn
 from upcube import search as search_mod
 from upcube.errors import (
     InvalidBias,
-    InvalidDensity,
     InvalidParams,
+    InvariantViolation,
     OutOfRange,
-    ScoreMismatch,
     TooLarge,
 )
 from upcube.search import DEDEKIND, part_measures
@@ -33,6 +32,15 @@ class TestEnumeration:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             uc.enumerate_upsets_qn(6)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_same_order_as_per_point_backtracking(self, n):
+        assert [set(f) for f in uc.enumerate_upsets_qn(n)] == naive_upsets_qn(n)
+
+    def test_count_cross_checked(self, monkeypatch):
+        monkeypatch.setattr(search_mod, "DEDEKIND", (2, 3, 6, 21, 168, 7581))
+        with pytest.raises(InvariantViolation, match="20 upsets of Q_3, expected 21"):
+            uc.enumerate_upsets_qn(3)
 
 
 class TestObjective:
@@ -142,7 +150,7 @@ class TestLocalSearch:
         assert res.iterations < 50_000
 
     def test_non_dyadic_density_rejected(self):
-        with pytest.raises(InvalidDensity):
+        with pytest.raises(InvalidParams, match="is not a multiple of 2"):
             uc.local_search(5, Fraction(1, 3), uc.SearchObjective())
 
     @given(st.integers(0, 30))
@@ -198,7 +206,7 @@ class TestLocalSearch:
 
     def test_running_score_cross_checked(self, monkeypatch):
         monkeypatch.setattr(search_mod._Scorer, "score", lambda self, *fams: -1)
-        with pytest.raises(ScoreMismatch):
+        with pytest.raises(InvariantViolation, match="disagrees with a full rescore"):
             uc.local_search(4, Fraction(1, 2), uc.SearchObjective(), seed=1, max_iters=50)
 
     def test_cross_check_survives_optimize_flag(self):
@@ -206,11 +214,11 @@ class TestLocalSearch:
             "from fractions import Fraction\n"
             "import upcube as uc\n"
             "from upcube import search\n"
-            "from upcube.errors import ScoreMismatch\n"
+            "from upcube.errors import InvariantViolation\n"
             "search._Scorer.score = lambda self, *fams: -1\n"
             "try:\n"
             "    uc.local_search(4, Fraction(1, 2), uc.SearchObjective(), max_iters=50)\n"
-            "except ScoreMismatch:\n"
+            "except InvariantViolation:\n"
             "    raise SystemExit(7)\n"
         )
         src = str(Path(uc.__file__).parents[1])

@@ -73,7 +73,7 @@ class TestFamilyBasics:
             mask_from_elements((0,), 3)
 
     def test_dimension_limits(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(TooLarge, match="exceeds N_MAX"):
             uc.Family(25, 0)
         with pytest.raises(OutOfRange):
             uc.Family(-1, 0)
@@ -204,31 +204,21 @@ class TestCombine:
     def test_intersect_dictators(self):
         from upcube.constructions import dictator
 
-        both = uc.combine("intersect", dictator(5, 1), dictator(5, 2))
+        both = dictator(5, 1) & dictator(5, 2)
         assert both.count == 8
 
     def test_union_example(self):
         from upcube.constructions import dictator, threshold
 
-        assert uc.combine("union", threshold(5, 3), dictator(5, 1)).count == 21
+        assert (threshold(5, 3) | dictator(5, 1)).count == 21
 
     def test_complement(self):
-        assert uc.combine("complement", uc.full_family(3)).count == 0
+        assert (~uc.full_family(3)).count == 0
 
     def test_difference(self):
         from upcube.constructions import dictator
 
-        assert uc.combine("difference", uc.full_family(5), dictator(5, 1)).count == 16
-
-    def test_bad_op_and_arity(self):
-        from upcube.errors import InvalidParams
-
-        with pytest.raises(InvalidParams):
-            uc.combine("xor", uc.full_family(2), uc.full_family(2))
-        with pytest.raises(InvalidParams):
-            uc.combine("union", uc.full_family(2))
-        with pytest.raises(InvalidParams):
-            uc.combine("complement", uc.full_family(2), uc.full_family(2))
+        assert (uc.full_family(5) - dictator(5, 1)).count == 16
 
     @given(upset_pairs())
     def test_de_morgan(self, pair):
@@ -414,15 +404,15 @@ class TestTwoSetExactlyOne:
         from upcube.constructions import dictator
 
         x = dictator(5, 1)
-        assert uc.two_set_exactly_one(x, x, HALF) == 0
-        assert uc.two_set_exactly_one(dictator(5, 1), dictator(5, 2), HALF) == HALF
-        assert uc.two_set_exactly_one(uc.full_family(3), uc.empty_family(3), HALF) == 1
+        assert uc.measure(x ^ x, HALF) == 0
+        assert uc.measure(dictator(5, 1) ^ dictator(5, 2), HALF) == HALF
+        assert uc.measure(uc.full_family(3) ^ uc.empty_family(3), HALF) == 1
 
     @given(upset_pairs(), biases)
     def test_two_set_corollary(self, pair, p):
         x, y = pair
         a, b = uc.measure(x, p), uc.measure(y, p)
-        assert uc.two_set_exactly_one(x, y, p) <= a + b - 2 * a * b
+        assert uc.measure(x ^ y, p) <= a + b - 2 * a * b
 
 
 class TestBitHelpers:
