@@ -219,7 +219,9 @@ def _cmd_closure(args) -> tuple[dict, int]:
 
 
 def _cmd_bound(args) -> tuple[dict, int]:
-    if args.sweep:
+    if args.sweep is not None:
+        if args.sweep < 1:
+            raise InvalidParams(f"--sweep must be at least 1, got {args.sweep}")
         rows = []
         for i in range(args.sweep + 1):
             rho = Fraction(i, args.sweep)
@@ -257,7 +259,9 @@ def _cmd_lp(args) -> tuple[dict, int]:
 def _cmd_qcurve(args) -> tuple[dict, int]:
     if args.points:
         grid = args.points
-    elif args.grid:
+    elif args.grid is not None:
+        if args.grid < 1:
+            raise InvalidParams(f"--grid must be at least 1, got {args.grid}")
         grid = [Fraction(i, args.grid) for i in range(args.grid + 1)]
     else:
         raise InvalidParams("qcurve needs --grid or --points")
@@ -429,8 +433,8 @@ def _cmd_poset(args) -> tuple[dict, int]:
 
 
 def _cmd_hk_random(args) -> tuple[dict, int]:
-    if args.n > 12:
-        raise InvalidParams(f"hk-random capped at n=12, got {args.n}")
+    if not 0 <= args.n <= 12:
+        raise InvalidParams(f"hk-random needs 0 <= n <= 12, got {args.n}")
     if args.trials < 1:
         raise InvalidParams("need at least one trial")
     rng = random.Random(args.seed)

@@ -122,6 +122,7 @@ def enumerate_upsets_qn(n: int) -> list[Family]:
     Points are decided in descending-cardinality order; a point may join
     only once all its one-larger supersets are in.
     """
+    check_dim(n)
     if n > ENUM_MAX_N:
         raise TooLarge(f"upset enumeration capped at n={ENUM_MAX_N}, got {n}")
     order = sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))

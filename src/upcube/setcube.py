@@ -8,6 +8,14 @@ This makes every structural operation (closure, minimality, boolean
 algebra) a handful of word-parallel shift/and/or passes instead of a
 per-point scan.
 
+Above n = BLOCK (16) those passes stream 2^n-bit ints and their mask
+tables, so the coordinate-loop kernels (closure, closedness, minimal and
+addable masks, biased measure) cut the vector into 2^(n-BLOCK) blocks of
+2^BLOCK bits (8 KiB) instead.  Block c holds the points whose top
+n - BLOCK coordinates spell c.  The low BLOCK coordinates run the n <= BLOCK
+loop on each block; each top coordinate acts on whole blocks, one pair
+(block c, block c plus that coordinate) at a time.
+
 Measures and biases are `fractions.Fraction` values throughout; floats
 never enter any computation here.  A measure at bias a/b is one exact
 integer sum of level weights a^k (b-a)^(n-k) over member popcounts,
@@ -33,6 +41,10 @@ from .errors import (
 )
 
 N_MAX = 24
+
+# Above this dimension the coordinate-loop kernels work on blocks of
+# 2^BLOCK bits (8 KiB, cache resident); see the module docstring.
+BLOCK = 16
 
 HALF = Fraction(1, 2)
 
@@ -231,6 +243,32 @@ def family_from_points(n: int, points: Iterable[PointMask]) -> Family:
     return Family(n, int.from_bytes(buf, "little"))
 
 
+def _blocks(n: int, bits: int) -> list[int]:
+    """Split a 2^n-bit vector (n > BLOCK) into its 2^(n-BLOCK) blocks.
+
+    Block c holds the points whose top n - BLOCK coordinates spell c, as
+    a 2^BLOCK-bit vector over the low BLOCK coordinates.
+    """
+    size = 1 << (BLOCK - 3)
+    data = bits.to_bytes(1 << (n - 3), "little")
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
+def _join(blocks: list[int]) -> int:
+    """Inverse of _blocks: concatenate the blocks, block 0 lowest."""
+    size = 1 << (BLOCK - 3)
+    return int.from_bytes(b"".join(blk.to_bytes(size, "little") for blk in blocks), "little")
+
+
+@lru_cache(maxsize=None)
+def _pairs(top: int) -> tuple[tuple[int, int], ...]:
+    """(lo, hi) block indices for each of `top` top coordinates in turn:
+    hi is lo with that coordinate added."""
+    return tuple(
+        (lo, lo | 1 << j) for j in range(top) for lo in range(1 << top) if not lo >> j & 1
+    )
+
+
 def up_closure(fam: Family) -> Family:
     """Smallest upward closed family containing fam.
 
@@ -238,12 +276,24 @@ def up_closure(fam: Family) -> Family:
     membership is closed under adding element i+1, and closure under all
     n coordinates is closure under taking arbitrary supersets.
     """
-    bits = fam.bits
-    for i, absent in enumerate(absent_masks(fam.n)):
-        bits |= (bits & absent) << (1 << i)
-    closed = Family(fam.n, bits)
+    n = fam.n
+    if n <= BLOCK:
+        bits = _close_block(fam.bits, n)
+    else:
+        blocks = [_close_block(blk, BLOCK) for blk in _blocks(n, fam.bits)]
+        for lo, hi in _pairs(n - BLOCK):
+            blocks[hi] |= blocks[lo]
+        bits = _join(blocks)
+    closed = Family(n, bits)
     closed.__dict__["_upward_closed"] = True  # closed by construction
     return closed
+
+
+def _close_block(bits: int, n: int) -> int:
+    """up_closure's loop over all n coordinates of a 2^n-bit vector."""
+    for i, absent in enumerate(absent_masks(n)):
+        bits |= (bits & absent) << (1 << i)
+    return bits
 
 
 def is_upward_closed(fam: Family) -> bool:
@@ -254,14 +304,24 @@ def is_upward_closed(fam: Family) -> bool:
     """
     cached = fam.__dict__.get("_upward_closed")
     if cached is None:
-        bits = fam.bits
-        outside = full_mask(fam.n) ^ bits
-        cached = not any(
-            ((bits & absent) << (1 << i)) & outside
-            for i, absent in enumerate(absent_masks(fam.n))
-        )
+        n = fam.n
+        if n <= BLOCK:
+            cached = _closed_block(fam.bits, n)
+        else:
+            blocks = _blocks(n, fam.bits)
+            cached = all(_closed_block(blk, BLOCK) for blk in blocks) and all(
+                blocks[lo] & blocks[hi] == blocks[lo] for lo, hi in _pairs(n - BLOCK)
+            )
         fam.__dict__["_upward_closed"] = cached
     return cached
+
+
+def _closed_block(bits: int, n: int) -> bool:
+    """is_upward_closed's loop over all n coordinates of a 2^n-bit vector."""
+    outside = full_mask(n) ^ bits
+    return not any(
+        ((bits & absent) << (1 << i)) & outside for i, absent in enumerate(absent_masks(n))
+    )
 
 
 def minimal_mask(fam: Family) -> int:
@@ -275,6 +335,17 @@ def minimal_mask(fam: Family) -> int:
 
 def _minimal_bits(n: int, bits: int) -> int:
     """minimal_mask on a raw membership vector (no Family is built)."""
+    if n <= BLOCK:
+        return _minimal_block(bits, n)
+    blocks = _blocks(n, bits)
+    out = [_minimal_block(blk, BLOCK) for blk in blocks]
+    for lo, hi in _pairs(n - BLOCK):
+        out[hi] ^= out[hi] & blocks[lo]
+    return _join(out)
+
+
+def _minimal_block(bits: int, n: int) -> int:
+    """_minimal_bits' loop over all n coordinates of a 2^n-bit vector."""
     out = bits
     for i, absent in enumerate(absent_masks(n)):
         out ^= out & ((bits & absent) << (1 << i))
@@ -292,6 +363,17 @@ def addable_mask(fam: Family) -> int:
 
 def _addable_bits(n: int, bits: int) -> int:
     """addable_mask on a raw membership vector (no Family is built)."""
+    if n <= BLOCK:
+        return _addable_block(bits, n)
+    blocks = _blocks(n, bits)
+    out = [_addable_block(blk, BLOCK) for blk in blocks]
+    for lo, hi in _pairs(n - BLOCK):
+        out[lo] &= blocks[hi]
+    return _join(out)
+
+
+def _addable_block(bits: int, n: int) -> int:
+    """_addable_bits' loop over all n coordinates of a 2^n-bit vector."""
     out = full_mask(n) & ~bits
     for i, absent in enumerate(absent_masks(n)):
         out &= ~absent | ((bits >> (1 << i)) & absent)
@@ -302,7 +384,8 @@ def minimal_elements(fam: Family) -> list[PointMask]:
     """Generating antichain of an upward closed family, sorted by (size, mask)."""
     if not is_upward_closed(fam):
         raise NotUpwardClosed("minimal_elements requires an upward closed family")
-    return sorted(iter_bits(minimal_mask(fam)), key=lambda m: (m.bit_count(), m))
+    # iter_bits is ascending and the sort is stable, so ties stay in mask order
+    return sorted(iter_bits(minimal_mask(fam)), key=int.bit_count)
 
 
 def level_counts(fam: Family) -> tuple[int, ...]:
@@ -333,12 +416,22 @@ def _mass(n: int, bits: int, p: Fraction) -> int:
     """Measure of a membership vector scaled by b^n: sum of weights[k] * |level k|.
 
     At p = 1/2 every weight is 1, so the mass is one popcount and no
-    level pass runs.
+    level pass runs.  Above BLOCK, block c adds its level counts over the
+    low coordinates at offset c.bit_count(), its level in the top ones.
     """
     a, b = p.numerator, p.denominator
     if b == 2:  # p = 1/2, the only bias in [0, 1] with denominator 2
         return bits.bit_count()
-    return sum(w * (bits & lm).bit_count() for w, lm in _weighted_levels(n, a, b))
+    if n <= BLOCK:
+        return sum(w * (bits & lm).bit_count() for w, lm in _weighted_levels(n, a, b))
+    counts = [0] * (n + 1)
+    low_levels = level_masks(BLOCK)
+    for c, blk in enumerate(_blocks(n, bits)):
+        top = c.bit_count()
+        for k, lm in enumerate(low_levels):
+            counts[top + k] += (blk & lm).bit_count()
+    weights, _ = level_weights(n, p)
+    return sum(w * cnt for w, cnt in zip(weights, counts))
 
 
 def measure(fam: Family, p: Fraction | int | str) -> Fraction:

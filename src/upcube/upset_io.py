@@ -12,12 +12,12 @@ round-trips exactly.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from pathlib import Path
 
 from .setcube import (
     N_MAX,
     Family,
-    elements_from_mask,
     family_from_points,
     mask_from_elements,
     minimal_elements,
@@ -64,11 +64,22 @@ def parse_upset(text: str, close: bool = True) -> Family:
     return up_closure(raw) if close else raw
 
 
+@lru_cache(maxsize=None)
+def _byte_labels(byte: int) -> tuple[str, ...]:
+    """Entry v: the labels of the set bits of v as mask byte `byte`, each
+    followed by a comma."""
+    base = 8 * byte + 1
+    return tuple("".join(f"{base + i}," for i in range(8) if v >> i & 1) for v in range(256))
+
+
 def format_upset(fam: Family) -> str:
     """Render a family as .upset text (requires upward closedness)."""
+    # N_MAX = 24, so a point mask has at most three bytes.
+    low, mid, high = _byte_labels(0), _byte_labels(1), _byte_labels(2)
     out = [f"n={fam.n}"]
     for mask in minimal_elements(fam):
-        out.append(",".join(map(str, elements_from_mask(mask))) if mask else "{}")
+        labels = low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
+        out.append(labels[:-1] if mask else "{}")
     return "\n".join(out) + "\n"
 
 

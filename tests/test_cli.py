@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -133,6 +134,20 @@ class TestQcurve:
         code, out, err = run(capsys, "qcurve", "--n", "7", "--l", "3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("qcurve", "--n", "7", "--l", "3", "--grid", "-2"), "--grid"),
+            (("qcurve", "--n", "7", "--l", "3", "--grid", "0"), "--grid"),
+            (("bound", "--sweep", "-3"), "--sweep"),
+            (("bound", "--sweep", "0"), "--sweep"),
+        ],
+    )
+    def test_grid_below_one_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be at least 1, got {argv[-1]}\n"
+
     @pytest.mark.parametrize("points", ["abc", "1/0", "1/3,x"])
     def test_bad_point_exit_2(self, capsys, points):
         code, out, err = run(capsys, "qcurve", "--n", "5", "--l", "3", "--points", points)
@@ -174,6 +189,37 @@ class TestMeasureAndClosure:
         assert fam == want
         assert rep["results"]["closed_count"] == fam.count
         assert rep["results"]["was_already_closed"] is False
+
+    def test_blocked_closure_and_measure_use_no_big_tables(self, capsys, tmp_path, monkeypatch):
+        # n = 18 > BLOCK: closure, closedness, minimal mask and the biased
+        # measure must get by with the 2^BLOCK-bit tables.
+        n = 18
+        for name in ("absent_masks", "level_masks"):
+            table = getattr(setcube, name)
+
+            def small_only(k, table=table, name=name):
+                if k > setcube.BLOCK:
+                    raise AssertionError(f"{name}({k}) built above BLOCK")
+                return table(k)
+
+            monkeypatch.setattr(setcube, name, small_only)
+        gens = ["1,2,17", "3,18", "5,6,7,8,9,10,11,12,13,14,15,16", "4,17,18"]
+        src = tmp_path / "gen.upset"
+        src.write_text(f"n={n}\n" + "\n".join(gens) + "\n")
+        dst = tmp_path / "closed.upset"
+        code, rep = run_json(capsys, "closure", str(src), "--out", str(dst))
+        assert code == 0
+        assert dst.read_text() == f"n={n}\n3,18\n1,2,17\n4,17,18\n" + gens[2] + "\n"
+        code, rep = run_json(capsys, "measure", "--family", str(dst), "--p", "3/8")
+        assert code == 0 and rep["results"]["upward_closed"] is True
+        # inclusion-exclusion over the principal upsets of the generators
+        sets = [set(map(int, g.split(","))) for g in gens]
+        p = Fraction(3, 8)
+        want = sum(
+            (-1) ** (k + 1) * sum(p ** len(set().union(*c)) for c in combinations(sets, k))
+            for k in range(1, len(sets) + 1)
+        )
+        assert rep["results"]["measure"] == rat(want)
 
     def test_closure_text_is_parseable(self, capsys, tmp_path):
         path = tmp_path / "gen.upset"
@@ -374,6 +420,11 @@ class TestHKRandom:
     def test_n_capped(self, capsys):
         code, out, err = run(capsys, "hk-random", "--n", "13")
         assert code == 2
+
+    def test_negative_n_exits_2(self, capsys):
+        code, out, err = run(capsys, "hk-random", "--n", "-1", "--trials", "2")
+        assert code == 2 and out == ""
+        assert err == "error: hk-random needs 0 <= n <= 12, got -1\n"
 
 
 class TestPlumbing:

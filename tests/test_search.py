@@ -33,6 +33,10 @@ class TestEnumeration:
         with pytest.raises(TooLarge):
             uc.enumerate_upsets_qn(6)
 
+    def test_negative_dimension(self):
+        with pytest.raises(OutOfRange, match="dimension -1 is negative"):
+            uc.enumerate_upsets_qn(-1)
+
     @pytest.mark.parametrize("n", range(5))
     def test_same_order_as_per_point_backtracking(self, n):
         assert [set(f) for f in uc.enumerate_upsets_qn(n)] == naive_upsets_qn(n)

@@ -287,6 +287,86 @@ class TestMeasure:
             uc.occupancy(fam, fam, fam, HALF)
 
 
+class TestBlockedKernels:
+    """Above BLOCK the kernels work on blocks of 2^BLOCK bits.  With BLOCK
+    patched to 3, the oracle properties reach the blocked path at n <= 8."""
+
+    blocked = st.integers(4, 8).flatmap(lambda n: families(n=n))
+    blocked_upsets = st.integers(4, 8).flatmap(lambda n: upsets(n=n))
+
+    @given(blocked)
+    def test_closure_matches_naive(self, fam):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setcube, "BLOCK", 3)
+            closed = uc.up_closure(fam)
+        want = naive_up_closure(fam.n, fam_to_set(fam)) if fam.count else set()
+        assert fam_to_set(closed) == want
+
+    @given(blocked)
+    def test_is_upward_closed_matches_naive(self, fam):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setcube, "BLOCK", 3)
+            got = uc.is_upward_closed(fam)
+        assert got == naive_is_upward_closed(fam.n, fam_to_set(fam))
+
+    @given(blocked_upsets)
+    def test_minimal_matches_naive(self, fam):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setcube, "BLOCK", 3)
+            got = set(iter_bits(uc.minimal_mask(fam)))
+        assert got == naive_minimal(fam_to_set(fam))
+
+    @given(blocked_upsets)
+    def test_addable_matches_naive(self, fam):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setcube, "BLOCK", 3)
+            got = set(iter_bits(uc.addable_mask(fam)))
+        assert got == naive_addable(fam.n, fam_to_set(fam))
+
+    @given(blocked, edge_biases)
+    def test_measure_matches_naive(self, fam, p):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setcube, "BLOCK", 3)
+            got = uc.measure(fam, p)
+        assert got == naive_measure(fam.n, fam_to_set(fam), p)
+
+    @pytest.mark.parametrize("n, block", [(5, 3), (17, 16)])
+    def test_violation_only_across_blocks(self, monkeypatch, n, block):
+        # Block 0 without its bottom point, every other block empty: each
+        # block is closed on its own, but adding element block+1 to a
+        # member of block 0 lands in block 1, outside the family.
+        monkeypatch.setattr(setcube, "BLOCK", block)
+        fam = uc.Family(n, full_mask(block) ^ 1)
+        block_bottoms = sum(1 << (c << block) for c in range(1 << (n - block)))
+        assert not uc.is_upward_closed(fam)
+        closed = uc.up_closure(fam)
+        assert closed.bits == full_mask(n) ^ block_bottoms
+        assert uc.minimal_mask(fam) == sum(1 << (1 << i) for i in range(block))
+        # the bottom point of block 0 is addable inside its block, not across
+        assert uc.addable_mask(fam) == 1 << full_mask(n).bit_length() - 1
+        p = Fraction(1, 3)
+        assert uc.measure(fam, p) == (1 - p) ** (n - block) * (1 - (1 - p) ** block)
+        assert uc.measure(closed, p) == 1 - (1 - p) ** block
+
+    def test_n17_matches_leaves_on_whole_vector(self):
+        n = 17
+        assert setcube.BLOCK < n
+        rng = random.Random(17)
+        sparse = uc.family_from_points(n, [rng.randrange(1 << n) for _ in range(40)]).bits
+        closed = setcube._close_block(sparse, n)
+        broken = closed ^ 1 << (1 << n) - 1  # drop the top point
+        for bits in (0, rng.getrandbits(1 << n), sparse, closed, broken, full_mask(n)):
+            fam = uc.Family(n, bits)
+            assert uc.up_closure(fam).bits == setcube._close_block(bits, n)
+            assert uc.is_upward_closed(fam) == setcube._closed_block(bits, n)
+            assert uc.minimal_mask(fam) == setcube._minimal_block(bits, n)
+            assert uc.addable_mask(fam) == setcube._addable_block(bits, n)
+            for p in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 8)):
+                a, b = p.numerator, p.denominator
+                mass = sum(w * (bits & lm).bit_count() for w, lm in setcube._weighted_levels(n, a, b))
+                assert uc.measure(fam, p) == Fraction(mass, b**n)
+
+
 class TestOccupancy:
     def test_triple_of_equal_upsets(self):
         from upcube.constructions import threshold

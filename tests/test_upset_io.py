@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,3 +96,14 @@ def test_canonical_generator_order(fam):
         mask = mask_from_elements(elems, fam.n)
         keys.append((mask.bit_count(), mask))
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 24])
+def test_format_matches_element_join(n):
+    # The byte label tables against the per-element join they replace.
+    from upcube.setcube import elements_from_mask
+
+    rng = random.Random(n)
+    fam = uc.up_closure(uc.family_from_points(n, [rng.randrange(1 << n) for _ in range(30)]))
+    lines = [",".join(map(str, elements_from_mask(m))) or "{}" for m in uc.minimal_elements(fam)]
+    assert uc.format_upset(fam) == "\n".join([f"n={n}", *lines]) + "\n"
