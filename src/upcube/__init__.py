@@ -23,7 +23,6 @@ from .setcube import (
     Family,
     OccupancyProfile,
     addable_mask,
-    elements_from_mask,
     empty_family,
     family_from_points,
     mask_from_elements,

@@ -29,7 +29,7 @@ from .setcube import (
     random_upset,
     up_closure,
 )
-from .errors import InvalidParams, UpcubeError
+from .errors import InvalidParams, TooLarge, UpcubeError
 from .upset_io import format_upset, read_upset, write_upset
 
 
@@ -42,6 +42,20 @@ def dec10(x: Fraction | int) -> str:
     q = round(Fraction(x) * 10**10)
     sign, q = ("-", -q) if q < 0 else ("", q)
     return f"{sign}{q // 10**10}.{q % 10**10:010d}"
+
+
+# The most work one call may ask for, in steps: a point of a random upset
+# (hk-random: trials x 2^n), a hill-climb iteration (search: iters, times
+# restarts unless --stop-at may end them), or a hundredth of a report row
+# (bound --sweep, qcurve --grid), since a row holds exact rationals and
+# their decimals.  Checked before any of the work starts.
+WORK_BUDGET = 10**7
+ROW_STEPS = 100
+
+
+def _check_work(what: str, steps: int) -> None:
+    if steps > WORK_BUDGET:
+        raise TooLarge(f"{what} asks for {steps} steps of work, above the budget of {WORK_BUDGET}")
 
 
 def _rat_arg(s: str) -> Fraction:
@@ -209,7 +223,7 @@ def _cmd_closure(args) -> tuple[dict, int]:
         "n": raw.n,
         "generators": raw.count,
         "closed_count": closed.count,
-        "was_already_closed": raw.bits == closed.bits,
+        "was_already_closed": raw == closed,
         "out": str(args.out),
     }
     return _report("closure", {}, results, {})
@@ -222,6 +236,7 @@ def _cmd_bound(args) -> tuple[dict, int]:
     if args.sweep is not None:
         if args.sweep < 1:
             raise InvalidParams(f"--sweep must be at least 1, got {args.sweep}")
+        _check_work(f"--sweep {args.sweep}", (args.sweep + 1) * ROW_STEPS)
         rows = []
         for i in range(args.sweep + 1):
             rho = Fraction(i, args.sweep)
@@ -262,6 +277,7 @@ def _cmd_qcurve(args) -> tuple[dict, int]:
     elif args.grid is not None:
         if args.grid < 1:
             raise InvalidParams(f"--grid must be at least 1, got {args.grid}")
+        _check_work(f"--grid {args.grid}", (args.grid + 1) * ROW_STEPS)
         grid = [Fraction(i, args.grid) for i in range(args.grid + 1)]
     else:
         raise InvalidParams("qcurve needs --grid or --points")
@@ -329,6 +345,10 @@ def _cmd_build(args) -> tuple[dict, int]:
 def _cmd_search(args) -> tuple[dict, int]:
     kind = {"s1": "s1_density", "min-part": "min_part_density"}[args.objective]
     objective = search.SearchObjective(kind=kind, bias=args.p)
+    if args.stop_at is None:
+        _check_work(f"--iters {args.iters} x --restarts {args.restarts}", args.iters * args.restarts)
+    else:
+        _check_work(f"--iters {args.iters}", args.iters)
     seeds = range(args.seed, args.seed + args.restarts)
     result = search.best_of_restarts(
         args.n, args.rho, objective, seeds, max_iters=args.iters, stop_at=args.stop_at
@@ -437,16 +457,16 @@ def _cmd_hk_random(args) -> tuple[dict, int]:
         raise InvalidParams(f"hk-random needs 0 <= n <= 12, got {args.n}")
     if args.trials < 1:
         raise InvalidParams("need at least one trial")
+    _check_work(f"--trials {args.trials} at n = {args.n}", args.trials << args.n)
     rng = random.Random(args.seed)
-    worst: tuple[Fraction, int, Family, Family] | None = None
-    for t in range(args.trials):
+
+    def trial(t: int) -> tuple[Fraction, int, Family, Family]:
         x = random_upset(args.n, rng)
         y = random_upset(args.n, rng)
-        d = hk_defect(x, y, args.p)
-        if worst is None or d < worst[0]:
-            worst = (d, t, x, y)
-    assert worst is not None
-    d, t, x, y = worst
+        return hk_defect(x, y, args.p), t, x, y
+
+    # the first trial with the least defect
+    d, t, x, y = min(map(trial, range(args.trials)), key=lambda w: w[:2])
     results = {
         "trials": args.trials,
         "min_defect": rat(d),

@@ -161,16 +161,12 @@ def poset_hk_defect(poset: WeightedPoset, u: int, v: int) -> Fraction:
 def poset_hk_scan(poset: WeightedPoset) -> tuple[Fraction, tuple[int, int]]:
     """Minimum correlation defect over all ordered pairs of upsets, with witness."""
     upsets = enumerate_upsets(poset)
-    best: Fraction | None = None
-    arg = (0, 0)
-    for u in upsets:
-        wu = poset.weight_of(u)
-        for v in upsets:
-            d = poset.weight_of(u & v) - wu * poset.weight_of(v)
-            if best is None or d < best:
-                best, arg = d, (u, v)
-    assert best is not None
-    return best, arg
+    weighted = [(u, poset.weight_of(u)) for u in upsets]
+    # min keeps the first pair with the least defect
+    return min(
+        ((poset.weight_of(u & v) - wu * wv, (u, v)) for u, wu in weighted for v, wv in weighted),
+        key=lambda pair: pair[0],
+    )
 
 
 def poset_occupancy(

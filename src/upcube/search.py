@@ -145,21 +145,17 @@ def exhaustive_best(n: int, objective: SearchObjective) -> SearchResult:
     by_count: dict[int, list[Family]] = {}
     for fam in enumerate_upsets_qn(n):
         by_count.setdefault(fam.count, []).append(fam)
-    best_score = -1
-    best_triple: tuple[Family, Family, Family] | None = None
-    examined = 0
-    for count in sorted(by_count):
-        for x, y, z in combinations_with_replacement(by_count[count], 3):
-            examined += 1
-            s = scorer.score(x.bits, y.bits, z.bits)
-            if s > best_score:
-                best_score, best_triple = s, (x, y, z)
-    assert best_triple is not None
+    triples = [
+        t for count in sorted(by_count) for t in combinations_with_replacement(by_count[count], 3)
+    ]
+    # max keeps the first triple with the best score
+    scored = ((scorer.score(x.bits, y.bits, z.bits), (x, y, z)) for x, y, z in triples)
+    best_score, best_triple = max(scored, key=lambda pair: pair[0])
     triple = TripleSystem(*best_triple, label=f"exhaustive(n={n})")
     return SearchResult(
         triple=triple,
         value=Fraction(best_score, scorer.denom),
-        iterations=examined,
+        iterations=len(triples),
         seed=0,
     )
 

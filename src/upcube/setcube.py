@@ -8,13 +8,16 @@ This makes every structural operation (closure, minimality, boolean
 algebra) a handful of word-parallel shift/and/or passes instead of a
 per-point scan.
 
-Above n = BLOCK (16) those passes stream 2^n-bit ints and their mask
-tables, so the coordinate-loop kernels (closure, closedness, minimal and
-addable masks, biased measure) cut the vector into 2^(n-BLOCK) blocks of
-2^BLOCK bits (8 KiB) instead.  Block c holds the points whose top
-n - BLOCK coordinates spell c.  The low BLOCK coordinates run the n <= BLOCK
-loop on each block; each top coordinate acts on whole blocks, one pair
-(block c, block c plus that coordinate) at a time.
+Above n = BLOCK (16) a family is stored as 2^(n-BLOCK) blocks of
+2^BLOCK bits (8 KiB) instead of one 2^n-bit int.  Block c holds the points
+whose top n - BLOCK coordinates spell c.  The coordinate-loop kernels
+(closure, closedness, minimal and addable masks, biased measure) take
+blocks and return block-backed families: the low BLOCK coordinates run the
+n <= BLOCK loop on each block, and each top coordinate acts on whole blocks,
+one pair (block c, block c plus that coordinate) at a time.  So reading,
+closing, measuring and writing a .upset file never builds the 2^n-bit int;
+`Family.bits` joins the blocks only when read, and a family built from bits
+is split once, on its first blocked kernel.
 
 Measures and biases are `fractions.Fraction` values throughout; floats
 never enter any computation here.  A measure at bias a/b is one exact
@@ -119,11 +122,6 @@ def mask_from_elements(elements: Iterable[int], n: int) -> PointMask:
     return mask
 
 
-def elements_from_mask(mask: PointMask) -> tuple[int, ...]:
-    """Ascending 1-based elements of the subset encoded by a bitmask."""
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of a nonnegative int, ascending.
 
@@ -170,57 +168,98 @@ def select_bit(mask: int, idx: int) -> int:
     return base + (mask & -mask).bit_length() - 1
 
 
-@dataclass(frozen=True)
 class Family:
-    """A set system over Q_n stored as a 2^n-bit membership vector."""
+    """A set system over Q_n: a 2^n-bit membership vector `bits`.
 
-    n: int
-    bits: int
+    Immutable.  Above BLOCK it may be held as its blocks instead (see the
+    module docstring); `bits` joins them on first read.  Both forms, the
+    count and the closedness verdict are cached on the family.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("_n", "_bits", "_blocks", "_count", "_upward_closed")
+
+    def __init__(self, n: int, bits: int) -> None:
         # full_mask checks the dimension first, before any 2^n-bit int exists
-        if not full_mask(self.n) >= self.bits >= 0:
-            raise OutOfRange(f"membership vector does not fit in Q_{self.n}")
+        if not full_mask(n) >= bits >= 0:
+            raise OutOfRange(f"membership vector does not fit in Q_{n}")
+        self._n, self._bits, self._blocks = n, bits, None
+        self._count = self._upward_closed = None
+
+    @classmethod
+    def _of_blocks(cls, n: int, blocks: list[int]) -> "Family":
+        """A block-backed family; the kernels build blocks in range."""
+        fam = cls.__new__(cls)
+        fam._n, fam._bits, fam._blocks = n, None, blocks
+        fam._count = fam._upward_closed = None
+        return fam
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def bits(self) -> int:
+        if self._bits is None:
+            self._bits = _join(self._n, self._blocks)
+        return self._bits
 
     @property
     def count(self) -> int:
-        cached = self.__dict__.get("_count")
-        if cached is None:
-            cached = self.bits.bit_count()
-            self.__dict__["_count"] = cached
-        return cached
+        if self._count is None:
+            if self._bits is None:
+                self._count = sum(blk.bit_count() for blk in self._blocks)
+            else:
+                self._count = self._bits.bit_count()
+        return self._count
+
+    def __repr__(self) -> str:
+        return f"Family(n={self._n}, bits={self.bits})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Family):
+            return NotImplemented
+        if self._n != other._n:
+            return False
+        if self._n > BLOCK and (self._bits is None or other._bits is None):
+            return _blocks_of(self) == _blocks_of(other)
+        return self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self._n, self.bits))
 
     def __contains__(self, point: PointMask) -> bool:
-        return 0 <= point < (1 << self.n) and bool(self.bits >> point & 1)
+        return 0 <= point < (1 << self._n) and bool(self.bits >> point & 1)
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self) -> Iterator[PointMask]:
-        return iter_bits(self.bits)
+        if self._bits is None:
+            return _iter_blocks(self._n, self._blocks)
+        return iter_bits(self._bits)
 
     def _check_dim(self, other: "Family") -> None:
-        if self.n != other.n:
-            raise DimensionMismatch(f"Q_{self.n} vs Q_{other.n}")
+        if self._n != other._n:
+            raise DimensionMismatch(f"Q_{self._n} vs Q_{other._n}")
 
     def __or__(self, other: "Family") -> "Family":
         self._check_dim(other)
-        return Family(self.n, self.bits | other.bits)
+        return Family(self._n, self.bits | other.bits)
 
     def __and__(self, other: "Family") -> "Family":
         self._check_dim(other)
-        return Family(self.n, self.bits & other.bits)
+        return Family(self._n, self.bits & other.bits)
 
     def __xor__(self, other: "Family") -> "Family":
         self._check_dim(other)
-        return Family(self.n, self.bits ^ other.bits)
+        return Family(self._n, self.bits ^ other.bits)
 
     def __sub__(self, other: "Family") -> "Family":
         self._check_dim(other)
-        return Family(self.n, self.bits & ~other.bits)
+        return Family(self._n, self.bits & ~other.bits)
 
     def __invert__(self) -> "Family":
-        return Family(self.n, full_mask(self.n) ^ self.bits)
+        return Family(self._n, full_mask(self._n) ^ self.bits)
 
 
 def empty_family(n: int) -> Family:
@@ -240,7 +279,16 @@ def family_from_points(n: int, points: Iterable[PointMask]) -> Family:
         if not 0 <= p < size:
             raise OutOfRange(f"point mask {p} outside Q_{n}")
         buf[p >> 3] |= 1 << (p & 7)
-    return Family(n, int.from_bytes(buf, "little"))
+    if n <= BLOCK:
+        return Family(n, int.from_bytes(buf, "little"))
+    return Family._of_blocks(n, _split(buf))
+
+
+def _split(data: bytes | bytearray) -> list[int]:
+    """The blocks of a little-endian membership vector given as bytes."""
+    step = 1 << (BLOCK - 3)
+    view = memoryview(data)
+    return [int.from_bytes(view[i : i + step], "little") for i in range(0, len(data), step)]
 
 
 def _blocks(n: int, bits: int) -> list[int]:
@@ -249,15 +297,48 @@ def _blocks(n: int, bits: int) -> list[int]:
     Block c holds the points whose top n - BLOCK coordinates spell c, as
     a 2^BLOCK-bit vector over the low BLOCK coordinates.
     """
-    size = 1 << (BLOCK - 3)
-    data = bits.to_bytes(1 << (n - 3), "little")
-    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    return _split(bits.to_bytes(1 << (n - 3), "little"))
 
 
-def _join(blocks: list[int]) -> int:
+def _join(n: int, blocks: list[int]) -> int:
     """Inverse of _blocks: concatenate the blocks, block 0 lowest."""
-    size = 1 << (BLOCK - 3)
+    size = (1 << (n - 3)) // len(blocks)  # bytes per block
     return int.from_bytes(b"".join(blk.to_bytes(size, "little") for blk in blocks), "little")
+
+
+def _blocks_of(fam: Family) -> list[int]:
+    """The blocks of fam (n > BLOCK); a bits-backed family is split once."""
+    blocks = fam._blocks
+    if blocks is None or len(blocks) != 1 << (fam.n - BLOCK):
+        blocks = fam._blocks = _blocks(fam.n, fam.bits)
+    return blocks
+
+
+def _iter_blocks(n: int, blocks: list[int]) -> Iterator[int]:
+    """iter_bits of the joined blocks, ascending, without joining them.
+
+    Empty blocks are skipped, and a sparse block is peeled instead of
+    walked word by word.
+    """
+    width = (1 << n) // len(blocks)
+    for c, blk in enumerate(blocks):
+        if blk:
+            base = c * width
+            # peeling costs a block-sized pass per member: walk dense blocks
+            for i in _peel(blk) if blk.bit_count() < 256 else iter_bits(blk):
+                yield base + i
+
+
+def _peel(bits: int) -> list[int]:
+    """Set bit positions of a sparse int, ascending: one step per member,
+    clearing the top bit, where iter_bits walks every word."""
+    points = []
+    while bits:
+        top = bits.bit_length() - 1
+        points.append(top)
+        bits ^= 1 << top
+    points.reverse()
+    return points
 
 
 @lru_cache(maxsize=None)
@@ -278,14 +359,18 @@ def up_closure(fam: Family) -> Family:
     """
     n = fam.n
     if n <= BLOCK:
-        bits = _close_block(fam.bits, n)
+        closed = Family(n, _close_block(fam.bits, n))
     else:
-        blocks = [_close_block(blk, BLOCK) for blk in _blocks(n, fam.bits)]
+        # a block of at most 4 generators, as .upset files at n > BLOCK
+        # mostly give, is cheaper to close by principal upsets
+        blocks = [
+            _close_block(blk, BLOCK) if blk.bit_count() > 4 else _close_few(blk, BLOCK)
+            for blk in _blocks_of(fam)
+        ]
         for lo, hi in _pairs(n - BLOCK):
             blocks[hi] |= blocks[lo]
-        bits = _join(blocks)
-    closed = Family(n, bits)
-    closed.__dict__["_upward_closed"] = True  # closed by construction
+        closed = Family._of_blocks(n, blocks)
+    closed._upward_closed = True  # closed by construction
     return closed
 
 
@@ -296,24 +381,43 @@ def _close_block(bits: int, n: int) -> int:
     return bits
 
 
+@lru_cache(maxsize=None)
+def _present_masks(n: int) -> tuple[int, ...]:
+    """_present_masks(n)[i] marks the points whose mask has bit i set."""
+    return tuple(full_mask(n) ^ absent for absent in absent_masks(n))
+
+
+def _close_few(bits: int, n: int) -> int:
+    """_close_block of a vector with few members: the union of their
+    principal upsets, each the AND of the present masks of its elements,
+    with no shifts."""
+    present = _present_masks(n)
+    closed = 0
+    for point in _peel(bits):
+        up = full_mask(n)
+        for i in range(point.bit_length()):
+            if point >> i & 1:
+                up &= present[i]
+        closed |= up
+    return closed
+
+
 def is_upward_closed(fam: Family) -> bool:
     """True iff every one-element superset of a member is a member.
 
     The verdict is cached on the immutable family, as `count` is, so the
     constructors, the CLI verdicts and minimal_elements share one check.
     """
-    cached = fam.__dict__.get("_upward_closed")
-    if cached is None:
+    if fam._upward_closed is None:
         n = fam.n
         if n <= BLOCK:
-            cached = _closed_block(fam.bits, n)
+            fam._upward_closed = _closed_block(fam.bits, n)
         else:
-            blocks = _blocks(n, fam.bits)
-            cached = all(_closed_block(blk, BLOCK) for blk in blocks) and all(
+            blocks = _blocks_of(fam)
+            fam._upward_closed = all(_closed_block(blk, BLOCK) for blk in blocks) and all(
                 blocks[lo] & blocks[hi] == blocks[lo] for lo, hi in _pairs(n - BLOCK)
             )
-        fam.__dict__["_upward_closed"] = cached
-    return cached
+    return fam._upward_closed
 
 
 def _closed_block(bits: int, n: int) -> bool:
@@ -330,23 +434,36 @@ def minimal_mask(fam: Family) -> int:
     For an upward closed family these are exactly its inclusion-minimal
     members, the antichain generating it.
     """
-    return _minimal_bits(fam.n, fam.bits)
+    if fam.n <= BLOCK:
+        return _minimal_block(fam.bits, fam.n)
+    return _join(fam.n, _minimal_blocks(_blocks_of(fam)))
 
 
 def _minimal_bits(n: int, bits: int) -> int:
     """minimal_mask on a raw membership vector (no Family is built)."""
     if n <= BLOCK:
         return _minimal_block(bits, n)
-    blocks = _blocks(n, bits)
-    out = [_minimal_block(blk, BLOCK) for blk in blocks]
-    for lo, hi in _pairs(n - BLOCK):
+    return _join(n, _minimal_blocks(_blocks(n, bits)))
+
+
+def _minimal_blocks(blocks: list[int]) -> list[int]:
+    """minimal_mask of a block list, as a new block list.
+
+    The top coordinates go first: a block whose members all have a member
+    below them in a lower block has no minimal member, and its low pass
+    is skipped.
+    """
+    out = list(blocks)
+    for lo, hi in _pairs(len(blocks).bit_length() - 1):
         out[hi] ^= out[hi] & blocks[lo]
-    return _join(out)
+    return [_minimal_block(blk, BLOCK, cand) if cand else 0 for blk, cand in zip(blocks, out)]
 
 
-def _minimal_block(bits: int, n: int) -> int:
-    """_minimal_bits' loop over all n coordinates of a 2^n-bit vector."""
-    out = bits
+def _minimal_block(bits: int, n: int, out: int | None = None) -> int:
+    """_minimal_bits' loop over all n coordinates of a 2^n-bit vector: the
+    points of `out` (default: bits) with no member of bits one below."""
+    if out is None:
+        out = bits
     for i, absent in enumerate(absent_masks(n)):
         out ^= out & ((bits & absent) << (1 << i))
     return out
@@ -358,18 +475,24 @@ def addable_mask(fam: Family) -> int:
     For upward closed fam these are the points all of whose one-element
     supersets are already members.
     """
-    return _addable_bits(fam.n, fam.bits)
+    if fam.n <= BLOCK:
+        return _addable_block(fam.bits, fam.n)
+    return _join(fam.n, _addable_blocks(_blocks_of(fam)))
 
 
 def _addable_bits(n: int, bits: int) -> int:
     """addable_mask on a raw membership vector (no Family is built)."""
     if n <= BLOCK:
         return _addable_block(bits, n)
-    blocks = _blocks(n, bits)
+    return _join(n, _addable_blocks(_blocks(n, bits)))
+
+
+def _addable_blocks(blocks: list[int]) -> list[int]:
+    """addable_mask of a block list, as a new block list."""
     out = [_addable_block(blk, BLOCK) for blk in blocks]
-    for lo, hi in _pairs(n - BLOCK):
+    for lo, hi in _pairs(len(blocks).bit_length() - 1):
         out[lo] &= blocks[hi]
-    return _join(out)
+    return out
 
 
 def _addable_block(bits: int, n: int) -> int:
@@ -384,8 +507,12 @@ def minimal_elements(fam: Family) -> list[PointMask]:
     """Generating antichain of an upward closed family, sorted by (size, mask)."""
     if not is_upward_closed(fam):
         raise NotUpwardClosed("minimal_elements requires an upward closed family")
-    # iter_bits is ascending and the sort is stable, so ties stay in mask order
-    return sorted(iter_bits(minimal_mask(fam)), key=int.bit_count)
+    if fam.n <= BLOCK:
+        points = iter_bits(minimal_mask(fam))
+    else:
+        points = _iter_blocks(fam.n, _minimal_blocks(_blocks_of(fam)))
+    # the points are ascending and the sort is stable, so ties stay in mask order
+    return sorted(points, key=int.bit_count)
 
 
 def level_counts(fam: Family) -> tuple[int, ...]:
@@ -416,28 +543,62 @@ def _mass(n: int, bits: int, p: Fraction) -> int:
     """Measure of a membership vector scaled by b^n: sum of weights[k] * |level k|.
 
     At p = 1/2 every weight is 1, so the mass is one popcount and no
-    level pass runs.  Above BLOCK, block c adds its level counts over the
-    low coordinates at offset c.bit_count(), its level in the top ones.
+    level pass runs.
     """
     a, b = p.numerator, p.denominator
     if b == 2:  # p = 1/2, the only bias in [0, 1] with denominator 2
         return bits.bit_count()
     if n <= BLOCK:
         return sum(w * (bits & lm).bit_count() for w, lm in _weighted_levels(n, a, b))
-    counts = [0] * (n + 1)
-    low_levels = level_masks(BLOCK)
-    for c, blk in enumerate(_blocks(n, bits)):
-        top = c.bit_count()
-        for k, lm in enumerate(low_levels):
-            counts[top + k] += (blk & lm).bit_count()
+    return _blocks_mass(n, _blocks(n, bits), p)
+
+
+def _planes(blocks: Iterable[int]) -> list[int]:
+    """Bit-sliced sum of blocks: planes[j] holds bit j of how many of the
+    blocks contain each point, so the count of the blocks' members inside
+    a mask m is sum((planes[j] & m).bit_count() << j)."""
+    planes: list[int] = []
+    for blk in blocks:
+        for j, plane in enumerate(planes):  # add blk, rippling the carry
+            planes[j], blk = plane ^ blk, plane & blk
+            if not blk:
+                break
+        else:
+            if blk:
+                planes.append(blk)
+    return planes
+
+
+def _blocks_mass(n: int, blocks: list[int], p: Fraction) -> int:
+    """_mass of a block list at p != 1/2.
+
+    A point of block c lies on level c.bit_count() + k, where k is its
+    level over the low coordinates.  So the blocks of each top level are
+    summed into planes first, and each low level mask meets those few
+    planes instead of every block.
+    """
     weights, _ = level_weights(n, p)
-    return sum(w * cnt for w, cnt in zip(weights, counts))
+    low_levels = level_masks(BLOCK)
+    tops = [c.bit_count() for c in range(len(blocks))]
+    mass = 0
+    for top in range(n - BLOCK + 1):
+        planes = _planes(blk for blk, t in zip(blocks, tops) if t == top)
+        for k, lm in enumerate(low_levels):
+            mass += weights[top + k] * sum((pl & lm).bit_count() << j for j, pl in enumerate(planes))
+    return mass
 
 
 def measure(fam: Family, p: Fraction | int | str) -> Fraction:
     """Exact product-measure of the family: sum of p^|A| (1-p)^(n-|A|)."""
     p = check_bias(p)
-    return Fraction(_mass(fam.n, fam.bits, p), p.denominator**fam.n)
+    n = fam.n
+    if p.denominator == 2:  # p = 1/2: the count
+        mass = fam.count
+    elif n <= BLOCK:
+        mass = _mass(n, fam.bits, p)
+    else:
+        mass = _blocks_mass(n, _blocks_of(fam), p)
+    return Fraction(mass, p.denominator**n)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ def naive_iter_bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def naive_elements(mask: int) -> tuple[int, ...]:
+    """Ascending 1-based elements of the subset a point mask encodes."""
+    return tuple(i + 1 for i in naive_iter_bits(mask))
+
+
 def naive_level_counts(fam) -> tuple[int, ...]:
     """Number of members of each cardinality 0..n, point by point."""
     counts = [0] * (fam.n + 1)
@@ -62,6 +67,11 @@ def naive_upsets_qn(n: int) -> list[set[int]]:
 
     grow(0, 0)
     return out
+
+
+def naive_no_member_below(n: int, pts: set[int]) -> set[int]:
+    """Members with no member one element below them (any family)."""
+    return {m for m in pts if not any(m >> j & 1 and m ^ 1 << j in pts for j in range(n))}
 
 
 def naive_minimal(pts: set[int]) -> set[int]:

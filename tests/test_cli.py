@@ -1,6 +1,9 @@
+import ast
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +224,33 @@ class TestMeasureAndClosure:
         )
         assert rep["results"]["measure"] == rat(want)
 
+    def test_blocked_path_never_joins(self, capsys, tmp_path, monkeypatch):
+        # n = 18 > BLOCK: reading, closing, comparing, counting, measuring
+        # and writing must all work on the 8 KiB blocks.
+        n = 18
+        for name in ("_join", "_blocks"):
+            monkeypatch.setattr(setcube, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+        src = tmp_path / "gen.upset"
+        src.write_text(f"n={n}\n1,2,17\n1,2,3,17\n3,18\n{n}\n")
+        dst = tmp_path / "closed.upset"
+        code, rep = run_json(capsys, "closure", str(src), "--out", str(dst))
+        assert code == 0
+        assert dst.read_text() == f"n={n}\n{n}\n1,2,17\n"
+        assert rep["results"]["generators"] == 4
+        assert rep["results"]["closed_count"] == 2**17 + 2**15 - 2**14
+        assert rep["results"]["was_already_closed"] is False
+        code, rep = run_json(capsys, "measure", "--family", str(dst), "--p", "3/8")
+        assert code == 0 and rep["results"]["upward_closed"] is True
+        p = Fraction(3, 8)
+        assert rep["results"]["measure"] == rat(p + p**3 - p**4)
+        assert rep["results"]["count"] == 2**17 + 2**15 - 2**14
+        # the top point alone is an upset: its raw family is already closed
+        top = tmp_path / "top.upset"
+        top.write_text(f"n={n}\n" + ",".join(map(str, range(1, n + 1))) + "\n")
+        code, rep = run_json(capsys, "closure", str(top), "--out", str(tmp_path / "again.upset"))
+        assert code == 0 and rep["results"]["was_already_closed"] is True
+        assert (tmp_path / "again.upset").read_text() == top.read_text()
+
     def test_closure_text_is_parseable(self, capsys, tmp_path):
         path = tmp_path / "gen.upset"
         path.write_text("n=3\n1,2\n3\n")
@@ -426,6 +456,65 @@ class TestHKRandom:
         assert code == 2 and out == ""
         assert err == "error: hk-random needs 0 <= n <= 12, got -1\n"
 
+    def test_witness_is_first_least_trial(self, capsys):
+        # n = 1 has few distinct upset pairs, so the least defect repeats
+        code, rep = run_json(capsys, "hk-random", "--n", "1", "--trials", "30", "--p", "1/3")
+        rng = random.Random(0)
+        defects = []
+        for _ in range(30):
+            x, y = uc.random_upset(1, rng), uc.random_upset(1, rng)
+            defects.append(uc.hk_defect(x, y, Fraction(1, 3)))
+        assert defects.count(min(defects)) > 1
+        assert rep["results"]["witness_trial"] == defects.index(min(defects))
+        assert rep["results"]["min_defect"] == rat(min(defects))
+
+
+class TestWorkBudget:
+    """Oversized requests exit 2 before any work: the work itself is
+    patched to fail, so a missing check fails the test instead of running."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(cli, "random_upset", refuse)
+        monkeypatch.setattr(cli.bounds, "s1_upper_bound", refuse)
+        monkeypatch.setattr(cli.constructions, "qcurve", refuse)
+        monkeypatch.setattr(cli.search, "best_of_restarts", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hk-random", "--n", "12", "--trials", str(10**8)),
+            ("hk-random", "--n", "10", "--trials", str(cli.WORK_BUDGET // 1024 + 1)),
+            ("bound", "--sweep", str(10**8)),
+            ("bound", "--sweep", str(cli.WORK_BUDGET // cli.ROW_STEPS)),
+            ("qcurve", "--n", "7", "--l", "3", "--grid", str(10**8)),
+            ("search", "--n", "5", "--rho", "1/2", "--iters", str(10**11)),
+            ("search", "--n", "5", "--rho", "1/2", "--iters", str(10**11), "--stop-at", "13/32"),
+            ("search", "--n", "5", "--rho", "1/2", "--restarts", "101"),
+        ],
+    )
+    def test_over_budget_exits_2(self, capsys, no_work, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hk-random", "--n", "10", "--trials", str(cli.WORK_BUDGET // 1024)),
+            ("bound", "--sweep", str(cli.WORK_BUDGET // cli.ROW_STEPS - 1)),
+            ("qcurve", "--n", "7", "--l", "3", "--grid", str(cli.WORK_BUDGET // cli.ROW_STEPS - 1)),
+            ("search", "--n", "5", "--rho", "1/2", "--restarts", "100"),
+            ("search", "--n", "5", "--rho", "1/2", "--restarts", str(10**9), "--stop-at", "13/32"),
+        ],
+    )
+    def test_within_budget_starts_work(self, capsys, no_work, argv):
+        with pytest.raises(RuntimeError, match="work started"):
+            main(list(argv))
+
 
 class TestPlumbing:
     def test_text_format(self, capsys):
@@ -453,6 +542,13 @@ class TestPlumbing:
     def test_no_verb(self, capsys):
         code, out, err = run(capsys)
         assert code == 2
+
+    def test_no_assert_statements_in_src(self):
+        # checks must survive python -O, which strips assert statements
+        src = Path(cli.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
     def test_shared_parser_matches_fresh_parser(self, capsys, monkeypatch):
         argvs = [

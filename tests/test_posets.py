@@ -168,6 +168,13 @@ class TestHKScan:
         assert md == Fraction(-1, 4)
         assert u != v
 
+    @pytest.mark.parametrize("poset", [antichain(2), antichain(3), uc.diamond_poset(Fraction(1, 3))])
+    def test_scan_witness_is_first_least_pair(self, poset):
+        ups = uc.enumerate_upsets(poset)
+        defects = [(uc.poset_hk_defect(poset, u, v), (u, v)) for u in ups for v in ups]
+        least = min(d for d, _ in defects)
+        assert uc.poset_hk_scan(poset) == next(pair for pair in defects if pair[0] == least)
+
     def test_non_upset_rejected(self):
         poset = uc.diamond_poset(Fraction(1, 2))
         with pytest.raises(NotUpwardClosed):

@@ -24,7 +24,6 @@ from upcube.setcube import (
     absent_masks,
     check_bias,
     check_dim,
-    elements_from_mask,
     full_mask,
     iter_bits,
     level_counts,
@@ -38,11 +37,13 @@ from upcube.setcube import (
 from cube_strategies import biases, families, upset_pairs, upsets
 from oracles import (
     fam_to_set,
+    naive_elements,
     naive_addable,
     naive_is_upward_closed,
     naive_iter_bits,
     naive_measure,
     naive_minimal,
+    naive_no_member_below,
     naive_occupancy_counts,
     naive_up_closure,
     popcount_numpy,
@@ -65,7 +66,7 @@ wide_masks = st.one_of(
 class TestFamilyBasics:
     def test_point_round_trip(self):
         assert mask_from_elements((1, 3), 3) == 0b101
-        assert elements_from_mask(0b101) == (1, 3)
+        assert naive_elements(mask_from_elements((1, 3), 3)) == (1, 3)
         assert mask_from_elements((), 3) == 0
         with pytest.raises(OutOfRange):
             mask_from_elements((4,), 3)
@@ -316,6 +317,19 @@ class TestBlockedKernels:
             got = set(iter_bits(uc.minimal_mask(fam)))
         assert got == naive_minimal(fam_to_set(fam))
 
+    @given(blocked)
+    def test_minimal_mask_of_any_family(self, fam):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setcube, "BLOCK", 3)
+            got = set(iter_bits(uc.minimal_mask(fam)))
+        assert got == naive_no_member_below(fam.n, fam_to_set(fam))
+
+    def test_minimal_mask_reads_the_input_below(self, monkeypatch):
+        # 0, 8, 24 sit in blocks 0, 1, 3 of Q_5: 24 has 8 one element below
+        # it, although 8 itself has a member below it
+        monkeypatch.setattr(setcube, "BLOCK", 3)
+        assert uc.minimal_mask(uc.family_from_points(5, [0, 8, 24])) == 1
+
     @given(blocked_upsets)
     def test_addable_matches_naive(self, fam):
         with pytest.MonkeyPatch.context() as mp:
@@ -365,6 +379,56 @@ class TestBlockedKernels:
                 a, b = p.numerator, p.denominator
                 mass = sum(w * (bits & lm).bit_count() for w, lm in setcube._weighted_levels(n, a, b))
                 assert uc.measure(fam, p) == Fraction(mass, b**n)
+
+
+class TestBlockStorage:
+    """Above BLOCK a family may be stored as its blocks.  With BLOCK patched
+    to 3, family_from_points returns a block-backed family at n = 4..8, and
+    it must behave exactly like its bits-backed twin."""
+
+    @given(st.integers(4, 8).flatmap(lambda n: families(n=n)), st.data())
+    def test_block_backed_matches_bits_backed(self, twin, data):
+        n, pts = twin.n, fam_to_set(twin)
+        other = data.draw(families(n=n))
+        p = data.draw(edge_biases)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setcube, "BLOCK", 3)
+            fam = uc.family_from_points(n, pts)
+            assert fam._bits is None  # block-backed
+            assert fam == twin and twin == fam
+            assert fam == uc.family_from_points(n, pts)
+            assert (fam == other) == (twin.bits == other.bits)
+            assert fam.count == len(fam) == len(pts)
+            assert list(fam) == sorted(pts)
+            closed = uc.up_closure(fam)
+            assert closed._bits is None
+            assert uc.is_upward_closed(fam) == naive_is_upward_closed(n, pts)
+            assert uc.measure(fam, p) == naive_measure(n, pts, p)
+            assert uc.measure(closed, p) == naive_measure(n, fam_to_set(closed), p)
+            assert fam_to_set(closed) == (naive_up_closure(n, pts) if pts else set())
+            want = naive_minimal(fam_to_set(closed))
+            assert uc.minimal_elements(closed) == sorted(want, key=lambda m: (m.bit_count(), m))
+            assert uc.minimal_mask(closed) == sum(1 << m for m in want)
+            assert (fam | other).bits == twin.bits | other.bits
+            assert (fam & other).bits == twin.bits & other.bits
+            assert (fam ^ other).bits == twin.bits ^ other.bits
+            assert (fam - other).bits == twin.bits & ~other.bits
+            assert (~fam).bits == full_mask(n) ^ twin.bits
+            assert hash(fam) == hash(twin)
+            assert all((m in fam) == (m in pts) for m in range(1 << n))
+            assert fam.bits == twin.bits
+        # joined blocks stay right once BLOCK is back to its value
+        assert closed == uc.up_closure(twin)
+
+    def test_kernels_split_a_bits_backed_family_once(self, monkeypatch):
+        n = 17
+        fam = uc.Family(n, random.Random(5).getrandbits(1 << n))
+        uc.is_upward_closed(fam)
+        monkeypatch.setattr(setcube, "_blocks", lambda n, bits: pytest.fail("split again"))
+        uc.up_closure(fam)
+        uc.measure(fam, Fraction(1, 3))
+        uc.minimal_mask(fam)
+        assert fam == uc.Family(n, fam.bits)
 
 
 class TestOccupancy:
