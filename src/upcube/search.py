@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterable
 
 from .setcube import (
@@ -145,9 +146,9 @@ def exhaustive_best(n: int, objective: SearchObjective) -> SearchResult:
     by_count: dict[int, list[Family]] = {}
     for fam in enumerate_upsets_qn(n):
         by_count.setdefault(fam.count, []).append(fam)
-    triples = [
+    triples = (
         t for count in sorted(by_count) for t in combinations_with_replacement(by_count[count], 3)
-    ]
+    )
     # max keeps the first triple with the best score
     scored = ((scorer.score(x.bits, y.bits, z.bits), (x, y, z)) for x, y, z in triples)
     best_score, best_triple = max(scored, key=lambda pair: pair[0])
@@ -155,7 +156,7 @@ def exhaustive_best(n: int, objective: SearchObjective) -> SearchResult:
     return SearchResult(
         triple=triple,
         value=Fraction(best_score, scorer.denom),
-        iterations=len(triples),
+        iterations=sum(comb(len(fams) + 2, 3) for fams in by_count.values()),  # 3-multisets
         seed=0,
     )
 

@@ -315,30 +315,14 @@ def _blocks_of(fam: Family) -> list[int]:
 
 
 def _iter_blocks(n: int, blocks: list[int]) -> Iterator[int]:
-    """iter_bits of the joined blocks, ascending, without joining them.
-
-    Empty blocks are skipped, and a sparse block is peeled instead of
-    walked word by word.
-    """
+    """iter_bits of the joined blocks, ascending, without joining them;
+    empty blocks are skipped instead of walked word by word."""
     width = (1 << n) // len(blocks)
     for c, blk in enumerate(blocks):
         if blk:
             base = c * width
-            # peeling costs a block-sized pass per member: walk dense blocks
-            for i in _peel(blk) if blk.bit_count() < 256 else iter_bits(blk):
+            for i in iter_bits(blk):
                 yield base + i
-
-
-def _peel(bits: int) -> list[int]:
-    """Set bit positions of a sparse int, ascending: one step per member,
-    clearing the top bit, where iter_bits walks every word."""
-    points = []
-    while bits:
-        top = bits.bit_length() - 1
-        points.append(top)
-        bits ^= 1 << top
-    points.reverse()
-    return points
 
 
 @lru_cache(maxsize=None)
@@ -361,12 +345,7 @@ def up_closure(fam: Family) -> Family:
     if n <= BLOCK:
         closed = Family(n, _close_block(fam.bits, n))
     else:
-        # a block of at most 4 generators, as .upset files at n > BLOCK
-        # mostly give, is cheaper to close by principal upsets
-        blocks = [
-            _close_block(blk, BLOCK) if blk.bit_count() > 4 else _close_few(blk, BLOCK)
-            for blk in _blocks_of(fam)
-        ]
+        blocks = [_close_block(blk, BLOCK) for blk in _blocks_of(fam)]
         for lo, hi in _pairs(n - BLOCK):
             blocks[hi] |= blocks[lo]
         closed = Family._of_blocks(n, blocks)
@@ -379,27 +358,6 @@ def _close_block(bits: int, n: int) -> int:
     for i, absent in enumerate(absent_masks(n)):
         bits |= (bits & absent) << (1 << i)
     return bits
-
-
-@lru_cache(maxsize=None)
-def _present_masks(n: int) -> tuple[int, ...]:
-    """_present_masks(n)[i] marks the points whose mask has bit i set."""
-    return tuple(full_mask(n) ^ absent for absent in absent_masks(n))
-
-
-def _close_few(bits: int, n: int) -> int:
-    """_close_block of a vector with few members: the union of their
-    principal upsets, each the AND of the present masks of its elements,
-    with no shifts."""
-    present = _present_masks(n)
-    closed = 0
-    for point in _peel(bits):
-        up = full_mask(n)
-        for i in range(point.bit_length()):
-            if point >> i & 1:
-                up &= present[i]
-        closed |= up
-    return closed
 
 
 def is_upward_closed(fam: Family) -> bool:

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,24 @@ class TestExhaustive:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             uc.exhaustive_best(5, uc.SearchObjective())
+
+    @pytest.mark.parametrize("kind", ["s1_density", "min_part_density"])
+    def test_first_best_triple_and_triple_count(self, kind):
+        # strict scan of the equal-count triples, counts ascending
+        obj = uc.SearchObjective(kind=kind)
+        by_count: dict[int, list] = {}
+        for fam in uc.enumerate_upsets_qn(3):
+            by_count.setdefault(fam.count, []).append(fam)
+        best, best_value, examined = None, Fraction(-1), 0
+        for count in sorted(by_count):
+            for t in combinations_with_replacement(by_count[count], 3):
+                examined += 1
+                v = obj.value(uc.TripleSystem(*t))
+                if v > best_value:
+                    best, best_value = t, v
+        res = uc.exhaustive_best(3, obj)
+        assert (res.triple.x, res.triple.y, res.triple.z) == best
+        assert (res.value, res.iterations) == (best_value, examined)
 
 
 class TestLocalSearch:
