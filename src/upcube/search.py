@@ -17,9 +17,12 @@ score (and, for the min-part objective, the three part masses) and
 rescores only the final best triple in full, as an explicit cross-check.
 Until a move on a family is accepted, the climb reuses its addable mask
 and the removal mask of each point drawn from it, so the many rejected
-moves run no mask kernel; the kernels work on raw bits, and `select_bit`
-is linear in the mask size.  With `stop_at`, the search, restarts
-included, ends at the first restart that reaches the value.
+moves run no mask kernel.  The climb is capped at n = 16, where a family
+is a single block (see `setcube`), so it keeps each family as raw bits
+and calls the whole-vector leaves `_addable_block` and `_minimal_block`
+directly; `select_bit` is linear in the mask size.  With `stop_at`, the
+search, restarts included, ends at the first restart that reaches the
+value.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from typing import Iterable
 
 from .setcube import (
     Family,
-    _addable_bits,
+    _addable_block,
+    _blocks,
     _mass,
-    _minimal_bits,
+    _minimal_block,
     check_bias,
     check_dim,
     level_weights,
@@ -50,6 +54,9 @@ from .posets import _grow_upsets
 
 ENUM_MAX_N = 5
 EXHAUSTIVE_MAX_N = 4
+# One restart's start-up (three random upsets trimmed to the count) took
+# 1.39 s, 5.14 s and 28.8 s at n = 15, 16, 17, about 5x per dimension.
+SEARCH_MAX_N = 16
 
 DEDEKIND = (2, 3, 6, 20, 168, 7581)
 
@@ -98,15 +105,15 @@ class _Scorer:
 
     def parts(self, bx: int, by: int, bz: int) -> list[int]:
         """Scaled masses of the three exactly-one parts."""
-        n, p = self.n, self.bias
-        return [
-            _mass(n, bx & ~by & ~bz, p), _mass(n, by & ~bx & ~bz, p), _mass(n, bz & ~bx & ~by, p)
-        ]
+        return [self._mass(bx & ~by & ~bz), self._mass(by & ~bx & ~bz), self._mass(bz & ~bx & ~by)]
 
     def score(self, bx: int, by: int, bz: int) -> int:
         if self.kind == "s1_density":
-            return _mass(self.n, (bx & ~by & ~bz) | (by & ~bx & ~bz) | (bz & ~bx & ~by), self.bias)
+            return self._mass((bx & ~by & ~bz) | (by & ~bx & ~bz) | (bz & ~bx & ~by))
         return min(self.parts(bx, by, bz))
+
+    def _mass(self, bits: int) -> int:
+        return _mass(self.n, _blocks(self.n, bits), self.bias)
 
 
 @dataclass(frozen=True)
@@ -161,14 +168,21 @@ def exhaustive_best(n: int, objective: SearchObjective) -> SearchResult:
     )
 
 
+def check_search_dim(n: int) -> None:
+    """Reject a dimension outside 0..SEARCH_MAX_N before anything 2^n-sized exists."""
+    check_dim(n)
+    if n > SEARCH_MAX_N:
+        raise TooLarge(f"local search capped at n={SEARCH_MAX_N}, got {n}")
+
+
 def _random_upset_with_count(n: int, count: int, rng: random.Random) -> int:
     """Membership bits of a seeded random upset with exactly `count` members."""
     bits = random_upset(n, rng).bits
     while bits.bit_count() > count:
-        mm = _minimal_bits(n, bits)
+        mm = _minimal_block(bits, n, bits)
         bits &= ~(1 << select_bit(mm, rng.randrange(mm.bit_count())))
     while bits.bit_count() < count:
-        am = _addable_bits(n, bits)
+        am = _addable_block(bits, n)
         bits |= 1 << select_bit(am, rng.randrange(am.bit_count()))
     return bits
 
@@ -191,10 +205,10 @@ def local_search(
 
     The score is a running integer (see the module docstring); the best
     triple is rescored in full before returning, and a disagreement
-    raises InvariantViolation.  n is checked against N_MAX before any mask
-    table is built.
+    raises InvariantViolation.  n is checked against SEARCH_MAX_N before
+    any mask table is built.
     """
-    check_dim(n)
+    check_search_dim(n)
     if max_iters < 0:
         raise InvalidParams(f"max_iters must be nonnegative, got {max_iters}")
     rho_target = check_bias(rho_target)
@@ -227,13 +241,13 @@ def local_search(
         bits = fams[f]
         am = addable[f]
         if am is None:
-            am = addable[f] = _addable_bits(n, bits)
+            am = addable[f] = _addable_block(bits, n)
         if not am:
             continue
         a = select_bit(am, rng.randrange(am.bit_count()))
         mm = removable[f].get(a)
         if mm is None:
-            mm = removable[f][a] = _minimal_bits(n, bits | 1 << a) & ~(1 << a)
+            mm = removable[f][a] = _minimal_block(bits | 1 << a, n, bits)
         if not mm:
             continue
         r = select_bit(mm, rng.randrange(mm.bit_count()))

@@ -1,23 +1,24 @@
 """Dense bit-vector engine for set systems on the subset cube Q_n.
 
-A family over Q_n (all subsets of {1..n}) is one Python int of 2^n
-membership bits: bit m is set iff the subset with characteristic mask m
-belongs to the family.  Element i of the ground set is mask bit i-1, so
-adding element i to a subset moves its membership bit up by 2^(i-1).
+A family over Q_n (all subsets of {1..n}) is a vector of 2^n membership
+bits: bit m is set iff the subset with characteristic mask m belongs to
+the family.  Element i of the ground set is mask bit i-1, so adding
+element i to a subset moves its membership bit up by 2^(i-1).
 This makes every structural operation (closure, minimality, boolean
 algebra) a handful of word-parallel shift/and/or passes instead of a
 per-point scan.
 
-Above n = BLOCK (16) a family is stored as 2^(n-BLOCK) blocks of
-2^BLOCK bits (8 KiB) instead of one 2^n-bit int.  Block c holds the points
-whose top n - BLOCK coordinates spell c.  The coordinate-loop kernels
-(closure, closedness, minimal and addable masks, biased measure) take
-blocks and return block-backed families: the low BLOCK coordinates run the
-n <= BLOCK loop on each block, and each top coordinate acts on whole blocks,
-one pair (block c, block c plus that coordinate) at a time.  So reading,
-closing, measuring and writing a .upset file never builds the 2^n-bit int;
-`Family.bits` joins the blocks only when read, and a family built from bits
-is split once, on its first blocked kernel.
+A family is stored as 2^(n-w) blocks of 2^w bits, w = min(n, BLOCK) and
+BLOCK = 16 (8 KiB), so a cube of n <= BLOCK is a single block, the whole
+vector.  Block c holds the points whose top n - w coordinates spell c.
+The coordinate-loop kernels (closure, closedness, minimal and addable
+masks, biased measure) take blocks and return block-backed families: the
+low w coordinates run a whole-vector loop on each block, and each top
+coordinate acts on whole blocks, one pair (block c, block c plus that
+coordinate) at a time.  So reading, closing, measuring and writing a
+.upset file never builds the 2^n-bit int; `Family.bits` joins the blocks
+only when read, and a family built from bits is split once, on its first
+kernel.
 
 Measures and biases are `fractions.Fraction` values throughout; floats
 never enter any computation here.  A measure at bias a/b is one exact
@@ -45,8 +46,8 @@ from .errors import (
 
 N_MAX = 24
 
-# Above this dimension the coordinate-loop kernels work on blocks of
-# 2^BLOCK bits (8 KiB, cache resident); see the module docstring.
+# The widest block: 2^BLOCK bits (8 KiB, cache resident); see the module
+# docstring and _width.
 BLOCK = 16
 
 HALF = Fraction(1, 2)
@@ -171,9 +172,9 @@ def select_bit(mask: int, idx: int) -> int:
 class Family:
     """A set system over Q_n: a 2^n-bit membership vector `bits`.
 
-    Immutable.  Above BLOCK it may be held as its blocks instead (see the
-    module docstring); `bits` joins them on first read.  Both forms, the
-    count and the closedness verdict are cached on the family.
+    Immutable.  It may be held as its blocks instead (see the module
+    docstring); `bits` joins them on first read.  Both forms, the count and
+    the closedness verdict are cached on the family.
     """
 
     __slots__ = ("_n", "_bits", "_blocks", "_count", "_upward_closed")
@@ -187,9 +188,11 @@ class Family:
 
     @classmethod
     def _of_blocks(cls, n: int, blocks: list[int]) -> "Family":
-        """A block-backed family; the kernels build blocks in range."""
+        """A block-backed family; the kernels build blocks in range.  A
+        single block is the whole vector, so it is the family's bits too."""
         fam = cls.__new__(cls)
-        fam._n, fam._bits, fam._blocks = n, None, blocks
+        fam._n, fam._blocks = n, blocks
+        fam._bits = blocks[0] if len(blocks) == 1 else None
         fam._count = fam._upward_closed = None
         return fam
 
@@ -220,9 +223,9 @@ class Family:
             return NotImplemented
         if self._n != other._n:
             return False
-        if self._n > BLOCK and (self._bits is None or other._bits is None):
+        if self._bits is None or other._bits is None:
             return _blocks_of(self) == _blocks_of(other)
-        return self.bits == other.bits
+        return self._bits == other._bits
 
     def __hash__(self) -> int:
         return hash((self._n, self.bits))
@@ -279,37 +282,45 @@ def family_from_points(n: int, points: Iterable[PointMask]) -> Family:
         if not 0 <= p < size:
             raise OutOfRange(f"point mask {p} outside Q_{n}")
         buf[p >> 3] |= 1 << (p & 7)
-    if n <= BLOCK:
-        return Family(n, int.from_bytes(buf, "little"))
-    return Family._of_blocks(n, _split(buf))
+    return Family._of_blocks(n, _split(n, buf))
 
 
-def _split(data: bytes | bytearray) -> list[int]:
-    """The blocks of a little-endian membership vector given as bytes."""
-    step = 1 << (BLOCK - 3)
+def _width(n: int) -> int:
+    """Block width at dimension n: Q_n is 2^(n - width) blocks of 2^width
+    points, so a cube of n <= BLOCK is a single block."""
+    return min(n, BLOCK)
+
+
+def _split(n: int, data: bytes | bytearray) -> list[int]:
+    """The blocks of a little-endian membership vector of Q_n given as bytes."""
+    top = n - _width(n)
+    if not top:
+        return [int.from_bytes(data, "little")]
+    step = len(data) >> top  # bytes per block
     view = memoryview(data)
     return [int.from_bytes(view[i : i + step], "little") for i in range(0, len(data), step)]
 
 
 def _blocks(n: int, bits: int) -> list[int]:
-    """Split a 2^n-bit vector (n > BLOCK) into its 2^(n-BLOCK) blocks.
-
-    Block c holds the points whose top n - BLOCK coordinates spell c, as
-    a 2^BLOCK-bit vector over the low BLOCK coordinates.
-    """
-    return _split(bits.to_bytes(1 << (n - 3), "little"))
+    """Split a 2^n-bit vector into its blocks (see _width): block c holds
+    the points whose top coordinates spell c, as a vector over the low ones."""
+    if n == _width(n):  # a single block: the vector itself
+        return [bits]
+    return _split(n, bits.to_bytes(1 << (n - 3), "little"))
 
 
 def _join(n: int, blocks: list[int]) -> int:
     """Inverse of _blocks: concatenate the blocks, block 0 lowest."""
+    if len(blocks) == 1:
+        return blocks[0]
     size = (1 << (n - 3)) // len(blocks)  # bytes per block
     return int.from_bytes(b"".join(blk.to_bytes(size, "little") for blk in blocks), "little")
 
 
 def _blocks_of(fam: Family) -> list[int]:
-    """The blocks of fam (n > BLOCK); a bits-backed family is split once."""
+    """The blocks of fam; a bits-backed family is split once."""
     blocks = fam._blocks
-    if blocks is None or len(blocks) != 1 << (fam.n - BLOCK):
+    if blocks is None or len(blocks) != 1 << (fam.n - _width(fam.n)):
         blocks = fam._blocks = _blocks(fam.n, fam.bits)
     return blocks
 
@@ -341,14 +352,11 @@ def up_closure(fam: Family) -> Family:
     membership is closed under adding element i+1, and closure under all
     n coordinates is closure under taking arbitrary supersets.
     """
-    n = fam.n
-    if n <= BLOCK:
-        closed = Family(n, _close_block(fam.bits, n))
-    else:
-        blocks = [_close_block(blk, BLOCK) for blk in _blocks_of(fam)]
-        for lo, hi in _pairs(n - BLOCK):
-            blocks[hi] |= blocks[lo]
-        closed = Family._of_blocks(n, blocks)
+    n, w = fam.n, _width(fam.n)
+    blocks = [_close_block(blk, w) for blk in _blocks_of(fam)]
+    for lo, hi in _pairs(n - w):
+        blocks[hi] |= blocks[lo]
+    closed = Family._of_blocks(n, blocks)
     closed._upward_closed = True  # closed by construction
     return closed
 
@@ -367,14 +375,11 @@ def is_upward_closed(fam: Family) -> bool:
     constructors, the CLI verdicts and minimal_elements share one check.
     """
     if fam._upward_closed is None:
-        n = fam.n
-        if n <= BLOCK:
-            fam._upward_closed = _closed_block(fam.bits, n)
-        else:
-            blocks = _blocks_of(fam)
-            fam._upward_closed = all(_closed_block(blk, BLOCK) for blk in blocks) and all(
-                blocks[lo] & blocks[hi] == blocks[lo] for lo, hi in _pairs(n - BLOCK)
-            )
+        n, w = fam.n, _width(fam.n)
+        blocks = _blocks_of(fam)
+        fam._upward_closed = all(_closed_block(blk, w) for blk in blocks) and all(
+            blocks[lo] & blocks[hi] == blocks[lo] for lo, hi in _pairs(n - w)
+        )
     return fam._upward_closed
 
 
@@ -392,36 +397,26 @@ def minimal_mask(fam: Family) -> int:
     For an upward closed family these are exactly its inclusion-minimal
     members, the antichain generating it.
     """
-    if fam.n <= BLOCK:
-        return _minimal_block(fam.bits, fam.n)
-    return _join(fam.n, _minimal_blocks(_blocks_of(fam)))
+    return _join(fam.n, _minimal_blocks(fam.n, _blocks_of(fam)))
 
 
-def _minimal_bits(n: int, bits: int) -> int:
-    """minimal_mask on a raw membership vector (no Family is built)."""
-    if n <= BLOCK:
-        return _minimal_block(bits, n)
-    return _join(n, _minimal_blocks(_blocks(n, bits)))
-
-
-def _minimal_blocks(blocks: list[int]) -> list[int]:
+def _minimal_blocks(n: int, blocks: list[int]) -> list[int]:
     """minimal_mask of a block list, as a new block list.
 
     The top coordinates go first: a block whose members all have a member
     below them in a lower block has no minimal member, and its low pass
     is skipped.
     """
+    w = _width(n)
     out = list(blocks)
-    for lo, hi in _pairs(len(blocks).bit_length() - 1):
+    for lo, hi in _pairs(n - w):
         out[hi] ^= out[hi] & blocks[lo]
-    return [_minimal_block(blk, BLOCK, cand) if cand else 0 for blk, cand in zip(blocks, out)]
+    return [_minimal_block(blk, w, cand) if cand else 0 for blk, cand in zip(blocks, out)]
 
 
-def _minimal_block(bits: int, n: int, out: int | None = None) -> int:
-    """_minimal_bits' loop over all n coordinates of a 2^n-bit vector: the
-    points of `out` (default: bits) with no member of bits one below."""
-    if out is None:
-        out = bits
+def _minimal_block(bits: int, n: int, out: int) -> int:
+    """The points of `out` with no member of the 2^n-bit vector `bits` one
+    element below them: minimal_mask's loop over all n coordinates."""
     for i, absent in enumerate(absent_masks(n)):
         out ^= out & ((bits & absent) << (1 << i))
     return out
@@ -433,28 +428,16 @@ def addable_mask(fam: Family) -> int:
     For upward closed fam these are the points all of whose one-element
     supersets are already members.
     """
-    if fam.n <= BLOCK:
-        return _addable_block(fam.bits, fam.n)
-    return _join(fam.n, _addable_blocks(_blocks_of(fam)))
-
-
-def _addable_bits(n: int, bits: int) -> int:
-    """addable_mask on a raw membership vector (no Family is built)."""
-    if n <= BLOCK:
-        return _addable_block(bits, n)
-    return _join(n, _addable_blocks(_blocks(n, bits)))
-
-
-def _addable_blocks(blocks: list[int]) -> list[int]:
-    """addable_mask of a block list, as a new block list."""
-    out = [_addable_block(blk, BLOCK) for blk in blocks]
-    for lo, hi in _pairs(len(blocks).bit_length() - 1):
+    n, w = fam.n, _width(fam.n)
+    blocks = _blocks_of(fam)
+    out = [_addable_block(blk, w) for blk in blocks]
+    for lo, hi in _pairs(n - w):
         out[lo] &= blocks[hi]
-    return out
+    return _join(n, out)
 
 
 def _addable_block(bits: int, n: int) -> int:
-    """_addable_bits' loop over all n coordinates of a 2^n-bit vector."""
+    """addable_mask's loop over all n coordinates of a 2^n-bit vector."""
     out = full_mask(n) & ~bits
     for i, absent in enumerate(absent_masks(n)):
         out &= ~absent | ((bits >> (1 << i)) & absent)
@@ -465,10 +448,7 @@ def minimal_elements(fam: Family) -> list[PointMask]:
     """Generating antichain of an upward closed family, sorted by (size, mask)."""
     if not is_upward_closed(fam):
         raise NotUpwardClosed("minimal_elements requires an upward closed family")
-    if fam.n <= BLOCK:
-        points = iter_bits(minimal_mask(fam))
-    else:
-        points = _iter_blocks(fam.n, _minimal_blocks(_blocks_of(fam)))
+    points = _iter_blocks(fam.n, _minimal_blocks(fam.n, _blocks_of(fam)))
     # the points are ascending and the sort is stable, so ties stay in mask order
     return sorted(points, key=int.bit_count)
 
@@ -490,25 +470,11 @@ def level_weights(n: int, p: Fraction | int | str) -> tuple[tuple[int, ...], int
     return tuple(a**k * (b - a) ** (n - k) for k in range(n + 1)), b**n
 
 
-@lru_cache(maxsize=256)
-def _weighted_levels(n: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """(weight, level mask) of every level with a nonzero weight at bias a/b."""
-    weights, _ = level_weights(n, Fraction(a, b))
-    return tuple((w, lm) for w, lm in zip(weights, level_masks(n)) if w)
-
-
-def _mass(n: int, bits: int, p: Fraction) -> int:
-    """Measure of a membership vector scaled by b^n: sum of weights[k] * |level k|.
-
-    At p = 1/2 every weight is 1, so the mass is one popcount and no
-    level pass runs.
-    """
-    a, b = p.numerator, p.denominator
-    if b == 2:  # p = 1/2, the only bias in [0, 1] with denominator 2
-        return bits.bit_count()
-    if n <= BLOCK:
-        return sum(w * (bits & lm).bit_count() for w, lm in _weighted_levels(n, a, b))
-    return _blocks_mass(n, _blocks(n, bits), p)
+@lru_cache(maxsize=32)
+def _weights(n: int, a: int, b: int) -> tuple[int, ...]:
+    """level_weights at bias a/b, cached for the many small-n calls at one
+    bias; 32 biases hold the repeats of a run and bound the memory."""
+    return level_weights(n, Fraction(a, b))[0]
 
 
 def _planes(blocks: Iterable[int]) -> list[int]:
@@ -527,36 +493,31 @@ def _planes(blocks: Iterable[int]) -> list[int]:
     return planes
 
 
-def _blocks_mass(n: int, blocks: list[int], p: Fraction) -> int:
-    """_mass of a block list at p != 1/2.
+def _mass(n: int, blocks: list[int], p: Fraction) -> int:
+    """Measure of a block list scaled by b^n: sum of weights[k] * |level k|.
 
-    A point of block c lies on level c.bit_count() + k, where k is its
-    level over the low coordinates.  So the blocks of each top level are
-    summed into planes first, and each low level mask meets those few
-    planes instead of every block.
+    At p = 1/2 every weight is 1, so the mass is one popcount per block and
+    no level pass runs.  Otherwise a point of block c lies on level
+    c.bit_count() + k, where k is its level inside the block.  So the blocks
+    of each top level are summed into planes first, and each low level mask
+    meets those few planes instead of every block.
     """
-    weights, _ = level_weights(n, p)
-    low_levels = level_masks(BLOCK)
-    tops = [c.bit_count() for c in range(len(blocks))]
+    a, b = p.numerator, p.denominator
+    if b == 2:  # p = 1/2, the only bias in [0, 1] with denominator 2
+        return sum(blk.bit_count() for blk in blocks)
+    weights, masks = _weights(n, a, b), level_masks(_width(n))
     mass = 0
-    for top in range(n - BLOCK + 1):
-        planes = _planes(blk for blk, t in zip(blocks, tops) if t == top)
-        for k, lm in enumerate(low_levels):
-            mass += weights[top + k] * sum((pl & lm).bit_count() << j for j, pl in enumerate(planes))
+    for top in range(len(weights) - len(masks) + 1):
+        planes = _planes(blk for c, blk in enumerate(blocks) if c.bit_count() == top)
+        for j, plane in enumerate(planes):
+            mass += sum(w * (plane & m).bit_count() for w, m in zip(weights[top:], masks)) << j
     return mass
 
 
 def measure(fam: Family, p: Fraction | int | str) -> Fraction:
     """Exact product-measure of the family: sum of p^|A| (1-p)^(n-|A|)."""
     p = check_bias(p)
-    n = fam.n
-    if p.denominator == 2:  # p = 1/2: the count
-        mass = fam.count
-    elif n <= BLOCK:
-        mass = _mass(n, fam.bits, p)
-    else:
-        mass = _blocks_mass(n, _blocks_of(fam), p)
-    return Fraction(mass, p.denominator**n)
+    return Fraction(_mass(fam.n, _blocks_of(fam), p), p.denominator**fam.n)
 
 
 @dataclass(frozen=True)
@@ -596,7 +557,7 @@ def occupancy(
     p = check_bias(p)
     classes = occupancy_class_bits(x, y, z)
     counts = tuple(bits.bit_count() for bits in classes)
-    masses = counts if p == HALF else tuple(_mass(x.n, bits, p) for bits in classes)
+    masses = counts if p == HALF else tuple(_mass(x.n, _blocks(x.n, bits), p) for bits in classes)
     denom = p.denominator**x.n
     if sum(counts) != 1 << x.n or sum(masses) != denom:
         raise InvariantViolation(

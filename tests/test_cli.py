@@ -260,6 +260,13 @@ class TestMeasureAndClosure:
         assert fam == uc.up_closure(uc.parse_upset(path.read_text(), close=False))
 
 
+def test_result_past_the_digit_limit_exits_2(capsys):
+    # the optimum's numerator and denominator have more than 4300 digits
+    code, out, err = run(capsys, "lp", "--rho", f"1/{10**3000 + 1}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: a result has more than ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "verb, suffix, content",
     [
@@ -380,16 +387,17 @@ class TestSearch:
         assert "error:" in err and out == ""
 
     def test_restarts_are_streamed(self, capsys):
-        # a list of 10^9 seeds would not fit in memory; the climb stops at seed 5
-        code, rep = run_json(
+        # --stop-at does not bound the restarts (no restart may reach it), so
+        # 10^9 of them are charged in full and refused before any runs;
+        # best_of_restarts itself streams its seeds (see test_search)
+        code, out, err = run(
             capsys, "search", "--n", "5", "--rho", "1/2", "--restarts", "1000000000",
             "--stop-at", "13/32", "--iters", "2000",
         )
-        assert code == 0
-        assert rep["results"]["winning_seed"] == 5
-        assert rep["results"]["value"] == "13/32"
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("n", ["30", "-1"])
+    @pytest.mark.parametrize("n", ["30", "-1", "17"])
     def test_dimension_out_of_range(self, capsys, n):
         code, out, err = run(capsys, "search", "--n", n, "--rho", "1/2")
         assert code == 2
@@ -493,7 +501,16 @@ class TestWorkBudget:
             ("qcurve", "--n", "7", "--l", "3", "--grid", str(10**8)),
             ("search", "--n", "5", "--rho", "1/2", "--iters", str(10**11)),
             ("search", "--n", "5", "--rho", "1/2", "--iters", str(10**11), "--stop-at", "13/32"),
-            ("search", "--n", "5", "--rho", "1/2", "--restarts", "101"),
+            # 100 x (100000 iterations + 2^5 + 4^5/1024 start-up) = 10003300
+            ("search", "--n", "5", "--rho", "1/2", "--restarts", "100"),
+            ("search", "--n", "5", "--rho", "1/2", "--restarts", str(10**9), "--stop-at", "13/32"),
+            ("search", "--n", "5", "--rho", "1/2", "--restarts", str(10**9), "--stop-at", "1",
+             "--iters", "1"),
+            # start-up alone: 2^16 + 4^16/1024 = 4259840 steps per restart
+            ("search", "--n", "16", "--rho", "1/2", "--restarts", "3", "--iters", "0"),
+            # a qcurve row costs n^2 steps once that exceeds ROW_STEPS
+            ("qcurve", "--n", str(10**9), "--l", "3", "--grid", "2"),
+            ("qcurve", "--n", "3163", "--l", "3", "--points", "1/3"),
         ],
     )
     def test_over_budget_exits_2(self, capsys, no_work, argv):
@@ -507,8 +524,9 @@ class TestWorkBudget:
             ("hk-random", "--n", "10", "--trials", str(cli.WORK_BUDGET // 1024)),
             ("bound", "--sweep", str(cli.WORK_BUDGET // cli.ROW_STEPS - 1)),
             ("qcurve", "--n", "7", "--l", "3", "--grid", str(cli.WORK_BUDGET // cli.ROW_STEPS - 1)),
-            ("search", "--n", "5", "--rho", "1/2", "--restarts", "100"),
-            ("search", "--n", "5", "--rho", "1/2", "--restarts", str(10**9), "--stop-at", "13/32"),
+            ("search", "--n", "5", "--rho", "1/2", "--restarts", "99"),
+            ("search", "--n", "16", "--rho", "1/2", "--restarts", "2", "--iters", "0"),
+            ("qcurve", "--n", "3162", "--l", "3", "--points", "1/3"),
         ],
     )
     def test_within_budget_starts_work(self, capsys, no_work, argv):

@@ -1,7 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count as endless
 from pathlib import Path
 
 import pytest
@@ -212,6 +212,8 @@ class TestLocalSearch:
                     monkeypatch.setattr(mod, name, refuse)
         with pytest.raises(TooLarge):
             uc.local_search(30, Fraction(1, 2), uc.SearchObjective())
+        with pytest.raises(TooLarge, match="capped at n=16"):
+            uc.local_search(17, Fraction(1, 2), uc.SearchObjective())
         with pytest.raises(TooLarge):
             uc.local_search(10**12, Fraction(1, 2), uc.SearchObjective())
         with pytest.raises(OutOfRange):
@@ -294,6 +296,12 @@ class TestRestarts:
         monkeypatch.setattr(search_mod, "local_search", counting)
         best = uc.best_of_restarts(
             *self.Q5_ARGS, range(8), max_iters=2000, stop_at=Fraction(13, 32)
+        )
+        assert best.seed == 5 and seen == [0, 1, 2, 3, 4, 5]
+        seen.clear()
+        # endless seeds are streamed
+        best = uc.best_of_restarts(
+            *self.Q5_ARGS, endless(), max_iters=2000, stop_at=Fraction(13, 32)
         )
         assert best.seed == 5 and seen == [0, 1, 2, 3, 4, 5]
         seen.clear()

@@ -289,11 +289,12 @@ class TestMeasure:
 
 
 class TestBlockedKernels:
-    """Above BLOCK the kernels work on blocks of 2^BLOCK bits.  With BLOCK
-    patched to 3, the oracle properties reach the blocked path at n <= 8."""
+    """The kernels work on blocks of 2^min(n, BLOCK) bits.  With BLOCK
+    patched to 3, the oracle properties reach 2^(n-3) blocks at n = 4..8,
+    one block at n = 3 and, below it, one block of less than a byte."""
 
-    blocked = st.integers(4, 8).flatmap(lambda n: families(n=n))
-    blocked_upsets = st.integers(4, 8).flatmap(lambda n: upsets(n=n))
+    blocked = st.integers(0, 8).flatmap(lambda n: families(n=n))
+    blocked_upsets = st.integers(0, 8).flatmap(lambda n: upsets(n=n))
 
     @given(blocked)
     def test_closure_matches_naive(self, fam):
@@ -373,12 +374,12 @@ class TestBlockedKernels:
             fam = uc.Family(n, bits)
             assert uc.up_closure(fam).bits == setcube._close_block(bits, n)
             assert uc.is_upward_closed(fam) == setcube._closed_block(bits, n)
-            assert uc.minimal_mask(fam) == setcube._minimal_block(bits, n)
+            assert uc.minimal_mask(fam) == setcube._minimal_block(bits, n, bits)
             assert uc.addable_mask(fam) == setcube._addable_block(bits, n)
             for p in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 8)):
-                a, b = p.numerator, p.denominator
-                mass = sum(w * (bits & lm).bit_count() for w, lm in setcube._weighted_levels(n, a, b))
-                assert uc.measure(fam, p) == Fraction(mass, b**n)
+                weights, denom = level_weights(n, p)
+                mass = sum(w * (bits & lm).bit_count() for w, lm in zip(weights, level_masks(n)))
+                assert uc.measure(fam, p) == Fraction(mass, denom)
 
 
 class TestBlockStorage:
@@ -476,7 +477,7 @@ class TestOccupancy:
             uc.occupancy(uc.full_family(3), uc.full_family(3), uc.full_family(3), p)
 
     def test_mass_normalization_checked(self, monkeypatch):
-        monkeypatch.setattr(setcube, "_mass", lambda n, bits, p: bits.bit_count())
+        monkeypatch.setattr(setcube, "_mass", lambda n, blocks, p: sum(map(int.bit_count, blocks)))
         with pytest.raises(InvariantViolation):
             uc.occupancy(uc.full_family(3), uc.empty_family(3), uc.empty_family(3), Fraction(1, 3))
 
