@@ -6,6 +6,13 @@ coordinate j set iff block j (bits jb..jb+b-1) lies in I.  Pulling a
 family back through this map multiplies its biased measure at
 p = |I|/2^b into a uniform density, which is how a Q_7 triple at bias
 3/8 becomes a Q_21 triple at bias 1/2.
+
+The lift is built in the storage blocks of setcube, never as one 2^n-bit
+int.  Closedness is checked in two places only: `LiftGadget` checks I,
+and `topup_to_count` checks its result once and caches the verdict.  The
+pull-backs themselves are not checked (a preimage of an upset under this
+map is an upset, but `pull_back` accepts any family), and `build_q21`
+checks their counts against the base measures instead.
 """
 
 from __future__ import annotations
@@ -16,10 +23,14 @@ from fractions import Fraction
 from .setcube import (
     Family,
     OccupancyProfile,
+    _blocks_of,
+    _width,
     check_dim,
     is_upward_closed,
     level_masks,
+    measure,
     occupancy,
+    select_bit,
     up_closure,
 )
 from .constructions import ConstructionParams, TripleSystem, kahn_triple
@@ -69,14 +80,43 @@ def _lift_bits(s_bits: int, m: int, i_bits: int, b: int) -> int:
 
 
 def pull_back(s: Family, g: LiftGadget) -> Family:
-    """Preimage of S under the block map Q_{g.b * S.n} -> Q_{S.n}.
+    """Preimage of S under the block map Q_{g.b * S.n} -> Q_{S.n}, as blocks.
+
+    The low k = min(m, w // b) coordinates of S (w the block width) lift
+    within one chunk of 2^(kb) points.  So the sub-vectors of S over them,
+    one per setting t of its top coordinates, lift by `_lift_bits` to the
+    only 2^(m-k) chunks there are.  The chunk at top gadget blocks H is the
+    lift at t = h(H), where bit j of h(H) says whether gadget block j of H
+    lies in I.  Each storage block joins the 2^(w-kb) chunks it holds, and
+    blocks made of the same chunks share one int.
 
     Exactly measure-preserving: count(result) = measure(S, gadget_bias) * 2^(bm).
-    Upward closedness of S transports to the result because I is upward closed.
+    The result is upward closed when S is, because I is upward closed, but
+    it is not marked closed: S is not checked here.
     """
-    n = g.b * s.n
+    m, b = s.n, g.b
+    n = b * m
     check_dim(n)
-    return Family(n, _lift_bits(s.bits, s.n, g.i_fam.bits, g.b))
+    w = _width(n)
+    k = min(m, w // b)
+    span = k * b  # a chunk covers the low `span` coordinates
+    i_bits = g.i_fam.bits
+    sub = (1 << (1 << k)) - 1
+    vals = [s.bits >> (t << k) & sub for t in range(1 << (m - k))]
+    lifted = {v: _lift_bits(v, k, i_bits, b) for v in set(vals)}
+    subs = [lifted[v] for v in vals]
+    h = [0]  # h[H] for H over the top gadget blocks, ascending
+    for j in range(m - k):
+        h = [t | (i_bits >> d & 1) << j for d in range(1 << b) for t in h]
+    per = 1 << (w - span)  # chunks per block
+    joined: dict[tuple[int, ...], int] = {}
+    blocks = []
+    for c in range(0, len(h), per):
+        key = tuple(h[c : c + per])
+        if key not in joined:
+            joined[key] = sum(subs[t] << (r << span) for r, t in enumerate(key))
+        blocks.append(joined[key])
+    return Family._of_blocks(n, blocks)
 
 
 def topup_to_count(z0: Family, pool: Family, target: int) -> Family:
@@ -84,41 +124,45 @@ def topup_to_count(z0: Family, pool: Family, target: int) -> Family:
 
     Pool points are admitted in descending cardinality, ties by ascending
     mask; since every proper superset of a pool point is already in
-    z0 ∪ pool, each prefix of this order is again upward closed.
+    z0 ∪ pool, each prefix of this order is again upward closed.  The work
+    runs per storage block: level k of block c is level k - popcount(c) of
+    the block, and ascending masks are ascending blocks, then ascending
+    positions inside one.
+
+    Closedness is checked once, on the result, and the verdict is cached
+    on it.  Only when it fails are the inputs checked, to name the cause:
+    by the argument above, an open result means z0 or z0 ∪ pool is open.
     """
     z0._check_dim(pool)
-    n = z0.n
-    if z0.bits & pool.bits:
+    n, w = z0.n, _width(z0.n)
+    base, extra = _blocks_of(z0), _blocks_of(pool)
+    if any(a & p for a, p in zip(base, extra)):
         raise InvalidParams("pool overlaps the base family")
-    if not is_upward_closed(z0):
-        raise NotUpwardClosed("base family is not upward closed")
-    if not is_upward_closed(z0 | pool):
-        raise NotUpwardClosed("a pool point has a superset outside base ∪ pool")
     need = target - z0.count
     if not 0 <= need <= pool.count:
         raise InvalidParams(f"target {target} outside [{z0.count}, {z0.count + pool.count}]")
-    taken = 0
+    out = list(base)
+    masks = level_masks(w)
     for k in range(n, -1, -1):
-        if not need:
-            break
-        avail = pool.bits & level_masks(n)[k]
-        c = avail.bit_count()
-        if c <= need:
-            taken |= avail
-            need -= c
-            continue
-        # partial level: the `need` smallest masks form a prefix of the
-        # bit vector; binary-search the shortest prefix holding them.
-        lo, hi = 0, 1 << n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (avail & ((1 << mid) - 1)).bit_count() >= need:
-                hi = mid
-            else:
-                lo = mid + 1
-        taken |= avail & ((1 << lo) - 1)
-        need = 0
-    return Family(n, z0.bits | taken)
+        for c, blk in enumerate(extra):
+            if not need:
+                break
+            low = k - c.bit_count()
+            if not blk or not 0 <= low <= w:
+                continue
+            avail = blk & masks[low]
+            got = avail.bit_count()
+            if got > need:  # partial level: the `need` smallest masks of this block
+                avail &= (2 << select_bit(avail, need - 1)) - 1
+                got = need
+            out[c] |= avail
+            need -= got
+    z1 = Family._of_blocks(n, out)
+    if not is_upward_closed(z1):
+        if not is_upward_closed(z0):
+            raise NotUpwardClosed("base family is not upward closed")
+        raise NotUpwardClosed("a pool point has a superset outside base ∪ pool")
+    return z1
 
 
 @dataclass(frozen=True)
@@ -154,12 +198,20 @@ def build_q21() -> tuple[TripleSystem, LiftReport]:
     density 3/8 exactly; the resulting uniform triple has exactly-one
     occupancy 937950/2^21 > 4/9."""
     g = three_eighths_gadget()
-    base = kahn_triple(ConstructionParams(7, 3, gadget_bias(g)))
-    x = pull_back(base.x, g)
-    y = pull_back(base.y, g)
-    z0 = pull_back(base.z, g)
-    pool = pull_back(base.x & base.y, g) - z0
-    target_density = gadget_bias(g) * (1 << x.n)
+    bias = gadget_bias(g)
+    base = kahn_triple(ConstructionParams(7, 3, bias))
+    # a preimage commutes with ∩ and ∖, so the pool is one pull-back
+    pool_base = (base.x & base.y) - base.z
+    x, y, z0, pool = (pull_back(f, g) for f in (base.x, base.y, base.z, pool_base))
+    # base certificate: each lifted count is its base mass at the bias
+    lifts = (("X", base.x, x), ("Y", base.y, y), ("Z", base.z, z0), ("pool", pool_base, pool))
+    for name, fam, lifted in lifts:
+        predicted = measure(fam, bias) * (1 << lifted.n)
+        if lifted.count != predicted:
+            raise InvariantViolation(
+                f"lifted {name} has {lifted.count} points, its base measure predicts {predicted}"
+            )
+    target_density = bias * (1 << x.n)
     if target_density.denominator != 1:
         raise InvariantViolation(f"target count {target_density} is not an integer")
     target = target_density.numerator
@@ -170,7 +222,7 @@ def build_q21() -> tuple[TripleSystem, LiftReport]:
         m=base.n,
         b=g.b,
         n=x.n,
-        bias=gadget_bias(g),
+        bias=bias,
         x_count=x.count,
         y_count=y.count,
         z_pre_count=z0.count,

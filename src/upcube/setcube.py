@@ -373,11 +373,13 @@ def is_upward_closed(fam: Family) -> bool:
 
     The verdict is cached on the immutable family, as `count` is, so the
     constructors, the CLI verdicts and minimal_elements share one check.
+    Each distinct block is checked once: equal blocks give equal verdicts,
+    and a lifted family repeats a few blocks many times.
     """
     if fam._upward_closed is None:
         n, w = fam.n, _width(fam.n)
         blocks = _blocks_of(fam)
-        fam._upward_closed = all(_closed_block(blk, w) for blk in blocks) and all(
+        fam._upward_closed = all(_closed_block(blk, w) for blk in dict.fromkeys(blocks)) and all(
             blocks[lo] & blocks[hi] == blocks[lo] for lo, hi in _pairs(n - w)
         )
     return fam._upward_closed

@@ -118,6 +118,12 @@ def naive_pull_back(s_pts: set[int], m: int, i_pts: set[int], b: int) -> set[int
     return out
 
 
+def naive_topup(z_pts: set[int], pool_pts: set[int], target: int) -> set[int]:
+    """z plus the first target - |z| pool points by (descending size, mask)."""
+    order = sorted(pool_pts, key=lambda m: (-m.bit_count(), m))
+    return z_pts | set(order[: target - len(z_pts)])
+
+
 def naive_q(n: int, l: int, p: Fraction) -> Fraction:
     """Exactly-one density of the two-dictators-plus-patched-threshold triple,
     by brute-force occupancy over all 2^n points."""

@@ -1,6 +1,8 @@
 import ast
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -585,3 +587,39 @@ class TestPlumbing:
         fresh = [run(capsys, *argv) for argv in argvs]
         assert shared == fresh
         assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 2, 0, 0]
+
+
+class TestOptimizedInterpreter:
+    """`python -O` strips asserts, so every certificate must be an explicit
+    check: the headline verbs give the same bytes and exit codes under it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "q5"),
+            ("verify", "q21"),
+            ("verify", "kahn", "--n", "7", "--l", "3", "--p", "3/8"),
+            ("lp", "--rho", "1/2"),
+            ("build", "q21", "--out", "D"),
+        ],
+        ids=" ".join,
+    )
+    def test_same_output_under_dash_o(self, tmp_path, argv):
+        src = str(Path(uc.__file__).parents[1])
+        runs = []
+        for flags in ([], ["-O"]):
+            cwd = tmp_path / ("optimized" if flags else "plain")
+            cwd.mkdir()
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "upcube.cli", *argv],
+                cwd=cwd,
+                env={"PYTHONPATH": src},
+                capture_output=True,
+                timeout=120,
+            )
+            files = {p.name: p.read_bytes() for p in sorted(cwd.glob("D/*.upset"))}
+            runs.append((proc.returncode, proc.stdout, proc.stderr, files))
+        assert runs[0] == runs[1]
+        code, out, err, files = runs[0]
+        assert code == 0 and err == b"" and out
+        assert len(files) == (3 if "--out" in argv else 0)

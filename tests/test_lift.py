@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,17 @@ from upcube.errors import (
     NotUpwardClosed,
     TooLarge,
 )
-from upcube import lift
+from upcube import lift, setcube
 from upcube.lift import LiftGadget, _lift_bits
 
 from cube_strategies import upsets
-from oracles import naive_level_counts, naive_pull_back
+from oracles import (
+    fam_to_set,
+    naive_is_upward_closed,
+    naive_level_counts,
+    naive_pull_back,
+    naive_topup,
+)
 
 
 class TestGadget:
@@ -110,6 +117,53 @@ class TestPullBack:
         with pytest.raises(TooLarge):
             uc.pull_back(uc.full_family(9), uc.three_eighths_gadget())
 
+    @pytest.mark.parametrize("block", [3, 4])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_blocked_matches_naive(self, monkeypatch, block, b):
+        # with BLOCK at 3 or 4, a chunk is smaller than a block for some
+        # (b, m), down to a single point (k = 0 at b = 4, BLOCK = 3)
+        monkeypatch.setattr(setcube, "BLOCK", block)
+        rng = random.Random(1000 * block + b)
+        selectors = uc.enumerate_upsets_qn(b)
+        for m in range(12 // b + 1):
+            g = LiftGadget(b, rng.choice(selectors))
+            s = uc.Family(m, rng.getrandbits(1 << m))
+            got = uc.pull_back(s, g)
+            assert len(setcube._blocks_of(got)) == 1 << max(0, b * m - block)
+            assert set(got) == naive_pull_back(set(s), m, set(g.i_fam), b)
+            assert got._upward_closed is None  # never marked closed
+
+    @pytest.mark.parametrize("b, m", [(1, 17), (2, 9), (3, 6), (4, 5), (3, 7), (3, 8), (4, 6)])
+    def test_blocked_matches_joined_lift_bits(self, b, m):
+        # bm = 17, 18, 18, 20, 21, 24, 24: above BLOCK, against the one-int lift
+        rng = random.Random(b * m)
+        for sel in rng.sample(uc.enumerate_upsets_qn(b), 2):
+            s = uc.Family(m, rng.getrandbits(1 << m))
+            assert uc.pull_back(s, LiftGadget(b, sel)).bits == _lift_bits(s.bits, m, sel.bits, b)
+
+    def test_blocked_lift_never_joins(self, monkeypatch):
+        # n = 21 > BLOCK: the pull-backs and the top-up of the Q_21 build
+        # work on the 8 KiB blocks and the 2^BLOCK-bit tables only
+        g = uc.three_eighths_gadget()
+        base = uc.kahn_triple(uc.ConstructionParams(7, 3, Fraction(3, 8)))
+        for name in ("_join", "_blocks"):
+            monkeypatch.setattr(setcube, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+        for name in ("absent_masks", "level_masks"):
+            table = getattr(setcube, name)
+
+            def small_only(k, table=table, name=name):
+                if k > setcube.BLOCK:
+                    raise AssertionError(f"{name}({k}) built above BLOCK")
+                return table(k)
+
+            monkeypatch.setattr(setcube, name, small_only)
+        monkeypatch.setattr(lift, "level_masks", setcube.level_masks)
+        z0 = uc.pull_back(base.z, g)
+        pool = uc.pull_back((base.x & base.y) - base.z, g)
+        z1 = uc.topup_to_count(z0, pool, 786432)
+        assert (z0.n, z0.count, pool.count, z1.count) == (21, 678402, 112500, 786432)
+        assert z1._upward_closed is True  # checked once, cached for TripleSystem
+
     def test_lift_bits_small_example(self):
         # m=1, b=1, I={1}: output block c copies hi for c=1, lo for c=0
         assert _lift_bits(0b10, 1, 0b10, 1) == 0b10
@@ -176,6 +230,29 @@ class TestTopUp:
         with pytest.raises(InvalidParams, match="outside"):
             uc.topup_to_count(z, pool, z.count + pool.count + 1)
 
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_blocked_matches_naive(self, monkeypatch, n):
+        # BLOCK = 3: a partial level may start, end or split inside any block
+        monkeypatch.setattr(setcube, "BLOCK", 3)
+        rng = random.Random(n)
+        for _ in range(3):
+            z0 = uc.random_upset(n, rng)
+            pool = (z0 | uc.random_upset(n, rng)) - z0
+            zs, ps = fam_to_set(z0), fam_to_set(pool)
+            for target in range(z0.count, z0.count + pool.count + 1):
+                got = uc.topup_to_count(z0, pool, target)
+                assert fam_to_set(got) == naive_topup(zs, ps, target)
+
+    def test_only_the_result_must_be_closed(self):
+        # z0 = {{1,2}} lacks {1,2,3}; topped up from the pool it is closed
+        z0, pool = uc.Family(3, 1 << 0b011), uc.Family(3, 1 << 0b111)
+        got = uc.topup_to_count(z0, pool, 2)
+        assert set(got) == {0b011, 0b111}
+        assert got._upward_closed is True
+        assert naive_is_upward_closed(3, set(got))
+        with pytest.raises(NotUpwardClosed, match="base family is not upward closed"):
+            uc.topup_to_count(z0, pool, 1)
+
 
 class TestBuildQ21:
     def test_report_numbers(self, q21):
@@ -219,6 +296,25 @@ class TestBuildQ21:
         _, report = q21
         with pytest.raises(InvariantViolation):
             dataclasses.replace(report, **change)
+
+    @pytest.mark.parametrize("name", ["X", "Y", "Z", "pool"])
+    def test_base_certificate_checked(self, monkeypatch, name):
+        # a pull-back that drops one point of the named family is caught
+        # by its base measure, not by an assert
+        g = uc.three_eighths_gadget()
+        base = uc.kahn_triple(uc.ConstructionParams(7, 3, Fraction(3, 8)))
+        bad = {"X": base.x, "Y": base.y, "Z": base.z, "pool": (base.x & base.y) - base.z}[name]
+        honest = lift.pull_back
+
+        def lossy(s, gadget):
+            out = honest(s, gadget)
+            if s == bad:
+                return uc.Family(out.n, out.bits & (out.bits - 1))
+            return out
+
+        monkeypatch.setattr(lift, "pull_back", lossy)
+        with pytest.raises(InvariantViolation, match=f"lifted {name} has"):
+            uc.build_q21()
 
     def test_pool_ceiling(self, q21):
         # even promoting the whole pool stays below the measure needed

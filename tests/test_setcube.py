@@ -311,6 +311,29 @@ class TestBlockedKernels:
             got = uc.is_upward_closed(fam)
         assert got == naive_is_upward_closed(fam.n, fam_to_set(fam))
 
+    @pytest.mark.parametrize(
+        "blocks, closed",
+        [
+            # every block closed, but block 0 is not inside block 1
+            ([0b11111110, 0b11101000] * 2, False),
+            # blocks 2, 3 hold {1} without {1,2}; every pair is nested
+            ([0b10000000] * 2 + [0b10000010] * 2, False),
+            ([0b11101000, 0b11111110] * 2, True),
+        ],
+        ids=["cross-pair fails", "one block open", "closed"],
+    )
+    def test_is_upward_closed_checks_each_distinct_block_once(self, monkeypatch, blocks, closed):
+        monkeypatch.setattr(setcube, "BLOCK", 3)
+        checked = []
+        leaf = setcube._closed_block
+        monkeypatch.setattr(
+            setcube, "_closed_block", lambda bits, n: checked.append(bits) or leaf(bits, n)
+        )
+        fam = setcube.Family._of_blocks(5, blocks)
+        pts = {c << 3 | i for c, blk in enumerate(blocks) for i in range(8) if blk >> i & 1}
+        assert uc.is_upward_closed(fam) is closed is naive_is_upward_closed(5, pts)
+        assert len(checked) == len(set(checked)) <= 2
+
     @given(blocked_upsets)
     def test_minimal_matches_naive(self, fam):
         with pytest.MonkeyPatch.context() as mp:
