@@ -11,12 +11,14 @@ from math import comb
 
 from .setcube import (
     Family,
-    absent_masks,
+    _width,
     check_bias,
-    full_mask,
+    check_dim,
+    family_from_points,
     is_upward_closed,
     level_masks,
     mask_from_elements,
+    up_closure,
 )
 from .errors import InvalidParams, NotUpwardClosed, OutOfRange
 
@@ -60,17 +62,19 @@ def dictator(n: int, i: int) -> Family:
     """All subsets containing element i; count 2^(n-1)."""
     if not 1 <= i <= n:
         raise OutOfRange(f"dictator coordinate {i} outside 1..{n}")
-    return Family(n, full_mask(n) & ~absent_masks(n)[i - 1])
+    return up_closure(family_from_points(n, [1 << (i - 1)]))
 
 
 def threshold(n: int, l: int) -> Family:
     """All subsets of size at least l (l=0 full cube, l=n+1 empty)."""
     if not 0 <= l <= n + 1:
         raise OutOfRange(f"threshold level {l} outside 0..{n + 1}")
-    bits = 0
-    for k in range(l, n + 1):
-        bits |= level_masks(n)[k]
-    return Family(n, bits)
+    check_dim(n)
+    w = _width(n)
+    masks = level_masks(w)
+    # block c holds its points of level l - c.bit_count() and above
+    tails = [sum(masks[max(l - top, 0) :]) for top in range(n - w + 1)]
+    return Family._of_blocks(n, [tails[c.bit_count()] for c in range(1 << (n - w))])
 
 
 def q5_triple() -> TripleSystem:
@@ -82,10 +86,10 @@ def q5_triple() -> TripleSystem:
     and push the exactly-one occupancy count to 13 of 32.
     """
     n = 5
-    add = (1 << mask_from_elements((3, 4), n)) | (1 << mask_from_elements((3, 5), n))
-    drop = (1 << mask_from_elements((1, 4, 5), n)) | (1 << mask_from_elements((2, 4, 5), n))
-    z_bits = (threshold(n, 3).bits | add) & ~drop
-    return TripleSystem(dictator(n, 1), dictator(n, 2), Family(n, z_bits), label="q5")
+    add = family_from_points(n, [mask_from_elements(s, n) for s in ((3, 4), (3, 5))])
+    drop = family_from_points(n, [mask_from_elements(s, n) for s in ((1, 4, 5), (2, 4, 5))])
+    z = (threshold(n, 3) | add) - drop
+    return TripleSystem(dictator(n, 1), dictator(n, 2), z, label="q5")
 
 
 def kahn_triple(params: ConstructionParams) -> TripleSystem:
@@ -96,11 +100,9 @@ def kahn_triple(params: ConstructionParams) -> TripleSystem:
     shifting mass into the exactly-one class.
     """
     n, l = params.n, params.l
-    patch = level_masks(n)[l] & absent_masks(n)[0] & absent_masks(n)[1]
-    z_bits = threshold(n, l + 1).bits | patch
-    return TripleSystem(
-        dictator(n, 1), dictator(n, 2), Family(n, z_bits), label=f"kahn(n={n},l={l})"
-    )
+    x, y = dictator(n, 1), dictator(n, 2)
+    z = threshold(n, l + 1) | (threshold(n, l) - (x | y))
+    return TripleSystem(x, y, z, label=f"kahn(n={n},l={l})")
 
 
 def q_formula(params: ConstructionParams) -> Fraction:

@@ -23,9 +23,9 @@ from fractions import Fraction
 from .setcube import (
     Family,
     OccupancyProfile,
-    _blocks_of,
     _width,
     check_dim,
+    family_from_points,
     is_upward_closed,
     level_masks,
     measure,
@@ -60,7 +60,7 @@ def gadget_bias(g: LiftGadget) -> Fraction:
 
 def three_eighths_gadget() -> LiftGadget:
     """b=3 selector {{1,2},{1,3},{1,2,3}}: the smallest gadget of bias 3/8."""
-    return LiftGadget(3, up_closure(Family(3, (1 << 0b011) | (1 << 0b101))))
+    return LiftGadget(3, up_closure(family_from_points(3, [0b011, 0b101])))
 
 
 def _lift_bits(s_bits: int, m: int, i_bits: int, b: int) -> int:
@@ -100,9 +100,11 @@ def pull_back(s: Family, g: LiftGadget) -> Family:
     w = _width(n)
     k = min(m, w // b)
     span = k * b  # a chunk covers the low `span` coordinates
-    i_bits = g.i_fam.bits
+    i_bits = sum(1 << d for d in g.i_fam)
     sub = (1 << (1 << k)) - 1
-    vals = [s.bits >> (t << k) & sub for t in range(1 << (m - k))]
+    # k is at most S's own block width, so each sub-vector lies in one block
+    per_s = 1 << (_width(m) - k)
+    vals = [blk >> (r << k) & sub for blk in s._blocks for r in range(per_s)]
     lifted = {v: _lift_bits(v, k, i_bits, b) for v in set(vals)}
     subs = [lifted[v] for v in vals]
     h = [0]  # h[H] for H over the top gadget blocks, ascending
@@ -135,7 +137,7 @@ def topup_to_count(z0: Family, pool: Family, target: int) -> Family:
     """
     z0._check_dim(pool)
     n, w = z0.n, _width(z0.n)
-    base, extra = _blocks_of(z0), _blocks_of(pool)
+    base, extra = z0._blocks, pool._blocks
     if any(a & p for a, p in zip(base, extra)):
         raise InvalidParams("pool overlaps the base family")
     need = target - z0.count

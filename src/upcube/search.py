@@ -37,7 +37,6 @@ from typing import Iterable
 from .setcube import (
     Family,
     _addable_block,
-    _blocks,
     _mass,
     _minimal_block,
     check_bias,
@@ -113,7 +112,7 @@ class _Scorer:
         return min(self.parts(bx, by, bz))
 
     def _mass(self, bits: int) -> int:
-        return _mass(self.n, _blocks(self.n, bits), self.bias)
+        return _mass(self.n, [bits], self.bias)
 
 
 @dataclass(frozen=True)

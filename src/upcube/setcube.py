@@ -8,17 +8,16 @@ This makes every structural operation (closure, minimality, boolean
 algebra) a handful of word-parallel shift/and/or passes instead of a
 per-point scan.
 
-A family is stored as 2^(n-w) blocks of 2^w bits, w = min(n, BLOCK) and
-BLOCK = 16 (8 KiB), so a cube of n <= BLOCK is a single block, the whole
-vector.  Block c holds the points whose top n - w coordinates spell c.
-The coordinate-loop kernels (closure, closedness, minimal and addable
-masks, biased measure) take blocks and return block-backed families: the
-low w coordinates run a whole-vector loop on each block, and each top
-coordinate acts on whole blocks, one pair (block c, block c plus that
-coordinate) at a time.  So reading, closing, measuring and writing a
-.upset file never builds the 2^n-bit int; `Family.bits` joins the blocks
-only when read, and a family built from bits is split once, on its first
-kernel.
+A family is stored only as 2^(n-w) blocks of 2^w bits, w = min(n, BLOCK)
+and BLOCK = 16 (8 KiB), so a cube of n <= BLOCK is a single block, the
+whole vector.  Block c holds the points whose top n - w coordinates spell
+c.  The boolean operators, counts and occupancy classes pair the blocks of
+their operands; the coordinate-loop kernels (closure, closedness, minimal
+and addable masks, biased measure) run the low w coordinates inside each
+block, and each top coordinate pairs whole blocks (block c, block c plus
+that coordinate).  `Family(n, bits)` splits its vector once, when built,
+and `Family.bits` joins the blocks on each read; no kernel does either,
+but `minimal_mask` and `addable_mask` return their result joined, as an int.
 
 Measures and biases are `fractions.Fraction` values throughout; floats
 never enter any computation here.  A measure at bias a/b is one exact
@@ -28,12 +27,13 @@ divided by b^n once at the end.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -170,29 +170,27 @@ def select_bit(mask: int, idx: int) -> int:
 
 
 class Family:
-    """A set system over Q_n: a 2^n-bit membership vector `bits`.
+    """A set system over Q_n, held as the blocks of its 2^n-bit membership
+    vector (see the module docstring).
 
-    Immutable.  It may be held as its blocks instead (see the module
-    docstring); `bits` joins them on first read.  Both forms, the count and
-    the closedness verdict are cached on the family.
+    Immutable.  `bits` joins the blocks on each read and is not cached; the
+    count and the closedness verdict are cached on the family.
     """
 
-    __slots__ = ("_n", "_bits", "_blocks", "_count", "_upward_closed")
+    __slots__ = ("_n", "_blocks", "_count", "_upward_closed")
 
     def __init__(self, n: int, bits: int) -> None:
-        # full_mask checks the dimension first, before any 2^n-bit int exists
-        if not full_mask(n) >= bits >= 0:
+        check_dim(n)  # before anything 2^n-sized exists
+        if bits < 0 or bits.bit_length() > 1 << n:
             raise OutOfRange(f"membership vector does not fit in Q_{n}")
-        self._n, self._bits, self._blocks = n, bits, None
+        self._n, self._blocks = n, _blocks(n, bits)
         self._count = self._upward_closed = None
 
     @classmethod
     def _of_blocks(cls, n: int, blocks: list[int]) -> "Family":
-        """A block-backed family; the kernels build blocks in range.  A
-        single block is the whole vector, so it is the family's bits too."""
+        """The family of a block list; the kernels build blocks in range."""
         fam = cls.__new__(cls)
         fam._n, fam._blocks = n, blocks
-        fam._bits = blocks[0] if len(blocks) == 1 else None
         fam._count = fam._upward_closed = None
         return fam
 
@@ -202,17 +200,12 @@ class Family:
 
     @property
     def bits(self) -> int:
-        if self._bits is None:
-            self._bits = _join(self._n, self._blocks)
-        return self._bits
+        return _join(self._n, self._blocks)
 
     @property
     def count(self) -> int:
         if self._count is None:
-            if self._bits is None:
-                self._count = sum(blk.bit_count() for blk in self._blocks)
-            else:
-                self._count = self._bits.bit_count()
+            self._count = sum(blk.bit_count() for blk in self._blocks)
         return self._count
 
     def __repr__(self) -> str:
@@ -221,56 +214,54 @@ class Family:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Family):
             return NotImplemented
-        if self._n != other._n:
-            return False
-        if self._bits is None or other._bits is None:
-            return _blocks_of(self) == _blocks_of(other)
-        return self._bits == other._bits
+        return self._n == other._n and self._blocks == other._blocks
 
     def __hash__(self) -> int:
-        return hash((self._n, self.bits))
+        return hash((self._n, *self._blocks))
 
     def __contains__(self, point: PointMask) -> bool:
-        return 0 <= point < (1 << self._n) and bool(self.bits >> point & 1)
+        c, i = divmod(point, 1 << _width(self._n))  # block c, position i
+        return 0 <= point < 1 << self._n and bool(self._blocks[c] >> i & 1)
 
     def __len__(self) -> int:
         return self.count
 
     def __iter__(self) -> Iterator[PointMask]:
-        if self._bits is None:
-            return _iter_blocks(self._n, self._blocks)
-        return iter_bits(self._bits)
+        return _iter_blocks(self._n, self._blocks)
 
     def _check_dim(self, other: "Family") -> None:
         if self._n != other._n:
             raise DimensionMismatch(f"Q_{self._n} vs Q_{other._n}")
 
-    def __or__(self, other: "Family") -> "Family":
+    def _zip(self, other: "Family", op) -> "Family":
+        """The family whose blocks are op of the two families' blocks, pairwise."""
         self._check_dim(other)
-        return Family(self._n, self.bits | other.bits)
+        return Family._of_blocks(self._n, list(map(op, self._blocks, other._blocks)))
+
+    def __or__(self, other: "Family") -> "Family":
+        return self._zip(other, operator.or_)
 
     def __and__(self, other: "Family") -> "Family":
-        self._check_dim(other)
-        return Family(self._n, self.bits & other.bits)
+        return self._zip(other, operator.and_)
 
     def __xor__(self, other: "Family") -> "Family":
-        self._check_dim(other)
-        return Family(self._n, self.bits ^ other.bits)
+        return self._zip(other, operator.xor)
 
     def __sub__(self, other: "Family") -> "Family":
-        self._check_dim(other)
-        return Family(self._n, self.bits & ~other.bits)
+        return self._zip(other, lambda a, b: a & ~b)
 
     def __invert__(self) -> "Family":
-        return Family(self._n, full_mask(self._n) ^ self.bits)
+        full = full_mask(_width(self._n))
+        return Family._of_blocks(self._n, [full ^ blk for blk in self._blocks])
 
 
 def empty_family(n: int) -> Family:
-    return Family(n, 0)
+    check_dim(n)
+    return Family._of_blocks(n, [0] * (1 << (n - _width(n))))
 
 
 def full_family(n: int) -> Family:
-    return Family(n, full_mask(n))
+    return ~empty_family(n)
 
 
 def family_from_points(n: int, points: Iterable[PointMask]) -> Family:
@@ -317,14 +308,6 @@ def _join(n: int, blocks: list[int]) -> int:
     return int.from_bytes(b"".join(blk.to_bytes(size, "little") for blk in blocks), "little")
 
 
-def _blocks_of(fam: Family) -> list[int]:
-    """The blocks of fam; a bits-backed family is split once."""
-    blocks = fam._blocks
-    if blocks is None or len(blocks) != 1 << (fam.n - _width(fam.n)):
-        blocks = fam._blocks = _blocks(fam.n, fam.bits)
-    return blocks
-
-
 def _iter_blocks(n: int, blocks: list[int]) -> Iterator[int]:
     """iter_bits of the joined blocks, ascending, without joining them;
     empty blocks are skipped instead of walked word by word."""
@@ -353,7 +336,7 @@ def up_closure(fam: Family) -> Family:
     n coordinates is closure under taking arbitrary supersets.
     """
     n, w = fam.n, _width(fam.n)
-    blocks = [_close_block(blk, w) for blk in _blocks_of(fam)]
+    blocks = [_close_block(blk, w) for blk in fam._blocks]
     for lo, hi in _pairs(n - w):
         blocks[hi] |= blocks[lo]
     closed = Family._of_blocks(n, blocks)
@@ -378,7 +361,7 @@ def is_upward_closed(fam: Family) -> bool:
     """
     if fam._upward_closed is None:
         n, w = fam.n, _width(fam.n)
-        blocks = _blocks_of(fam)
+        blocks = fam._blocks
         fam._upward_closed = all(_closed_block(blk, w) for blk in dict.fromkeys(blocks)) and all(
             blocks[lo] & blocks[hi] == blocks[lo] for lo, hi in _pairs(n - w)
         )
@@ -399,7 +382,7 @@ def minimal_mask(fam: Family) -> int:
     For an upward closed family these are exactly its inclusion-minimal
     members, the antichain generating it.
     """
-    return _join(fam.n, _minimal_blocks(fam.n, _blocks_of(fam)))
+    return Family._of_blocks(fam.n, _minimal_blocks(fam.n, fam._blocks)).bits
 
 
 def _minimal_blocks(n: int, blocks: list[int]) -> list[int]:
@@ -431,11 +414,11 @@ def addable_mask(fam: Family) -> int:
     supersets are already members.
     """
     n, w = fam.n, _width(fam.n)
-    blocks = _blocks_of(fam)
+    blocks = fam._blocks
     out = [_addable_block(blk, w) for blk in blocks]
     for lo, hi in _pairs(n - w):
         out[lo] &= blocks[hi]
-    return _join(n, out)
+    return Family._of_blocks(n, out).bits
 
 
 def _addable_block(bits: int, n: int) -> int:
@@ -450,14 +433,20 @@ def minimal_elements(fam: Family) -> list[PointMask]:
     """Generating antichain of an upward closed family, sorted by (size, mask)."""
     if not is_upward_closed(fam):
         raise NotUpwardClosed("minimal_elements requires an upward closed family")
-    points = _iter_blocks(fam.n, _minimal_blocks(fam.n, _blocks_of(fam)))
+    points = _iter_blocks(fam.n, _minimal_blocks(fam.n, fam._blocks))
     # the points are ascending and the sort is stable, so ties stay in mask order
     return sorted(points, key=int.bit_count)
 
 
 def level_counts(fam: Family) -> tuple[int, ...]:
-    """Number of members of each cardinality 0..n."""
-    return tuple((fam.bits & lm).bit_count() for lm in level_masks(fam.n))
+    """Number of members of each cardinality 0..n: level k of block c is
+    level k - c.bit_count() inside the block, as in _mass."""
+    masks = level_masks(_width(fam.n))
+    counts = [0] * (fam.n + 1)
+    for c, blk in enumerate(fam._blocks):
+        for k, m in enumerate(masks, c.bit_count()):
+            counts[k] += (blk & m).bit_count()
+    return tuple(counts)
 
 
 def level_weights(n: int, p: Fraction | int | str) -> tuple[tuple[int, ...], int]:
@@ -495,7 +484,7 @@ def _planes(blocks: Iterable[int]) -> list[int]:
     return planes
 
 
-def _mass(n: int, blocks: list[int], p: Fraction) -> int:
+def _mass(n: int, blocks: Sequence[int], p: Fraction) -> int:
     """Measure of a block list scaled by b^n: sum of weights[k] * |level k|.
 
     At p = 1/2 every weight is 1, so the mass is one popcount per block and
@@ -519,7 +508,7 @@ def _mass(n: int, blocks: list[int], p: Fraction) -> int:
 def measure(fam: Family, p: Fraction | int | str) -> Fraction:
     """Exact product-measure of the family: sum of p^|A| (1-p)^(n-|A|)."""
     p = check_bias(p)
-    return Fraction(_mass(fam.n, _blocks_of(fam), p), p.denominator**fam.n)
+    return Fraction(_mass(fam.n, fam._blocks, p), p.denominator**fam.n)
 
 
 @dataclass(frozen=True)
@@ -536,17 +525,13 @@ class OccupancyProfile:
         return self.densities[1]
 
 
-def occupancy_class_bits(x: Family, y: Family, z: Family) -> tuple[int, int, int, int]:
-    """Membership vectors of the exactly-0/1/2/3 occupancy classes."""
-    x._check_dim(y)
-    x._check_dim(z)
-    a, b, c = x.bits, y.bits, z.bits
+def _occupancy_block(a: int, b: int, c: int, full: int) -> tuple[int, int, int, int]:
+    """The exactly-0/1/2/3 occupancy classes of one block of each of three
+    families; `full` is the full block."""
+    some = a | b | c
     any_two = (a & b) | (a & c) | (b & c)
     all_three = a & b & c
-    exactly0 = full_mask(x.n) & ~(a | b | c)
-    exactly1 = (a | b | c) & ~any_two
-    exactly2 = any_two & ~all_three
-    return exactly0, exactly1, exactly2, all_three
+    return full & ~some, some & ~any_two, any_two & ~all_three, all_three
 
 
 def occupancy(
@@ -555,15 +540,21 @@ def occupancy(
     z: Family,
     p: Fraction | int | str = Fraction(1, 2),
 ) -> OccupancyProfile:
-    """Occupancy profile of a triple: how much of Q_n lies in exactly i of them."""
+    """Occupancy profile of a triple: how much of Q_n lies in exactly i of
+    them, summed over the classes' blocks."""
+    x._check_dim(y)
+    x._check_dim(z)
     p = check_bias(p)
-    classes = occupancy_class_bits(x, y, z)
-    counts = tuple(bits.bit_count() for bits in classes)
-    masses = counts if p == HALF else tuple(_mass(x.n, _blocks(x.n, bits), p) for bits in classes)
-    denom = p.denominator**x.n
-    if sum(counts) != 1 << x.n or sum(masses) != denom:
+    n, full = x.n, full_mask(_width(x.n))
+    blocks = zip(x._blocks, y._blocks, z._blocks)
+    classes = list(zip(*(_occupancy_block(a, b, c, full) for a, b, c in blocks)))
+    # classes[i] holds the blocks of the exactly-i class
+    counts = tuple(sum(blk.bit_count() for blk in cls) for cls in classes)
+    masses = counts if p == HALF else tuple(_mass(n, cls, p) for cls in classes)
+    denom = p.denominator**n
+    if sum(counts) != 1 << n or sum(masses) != denom:
         raise InvariantViolation(
-            f"occupancy classes do not partition Q_{x.n}: counts {counts}, masses {masses}"
+            f"occupancy classes do not partition Q_{n}: counts {counts}, masses {masses}"
         )
     densities = tuple(Fraction(m, denom) for m in masses)
     return OccupancyProfile(counts, densities, p)

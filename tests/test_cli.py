@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import upcube as uc
-from upcube import cli, setcube
+from upcube import cli, constructions, lift, setcube
 from upcube.cli import dec10, main, rat
 
 
@@ -349,6 +349,35 @@ class TestBuild:
         code, out, err = run(capsys, "build", argv[0], "--n", "5", *argv[1:])
         assert code == 2 and out == ""
         assert err == "error: dimension 5 exceeds N_MAX=4\n"
+
+
+class TestBlocksOnly:
+    def test_headline_verbs_never_join_or_build_big_tables(self, capsys, tmp_path, monkeypatch):
+        # verify q21 and build q21 (n = 21) and verify kahn at n = 24 keep
+        # every family in its 8 KiB blocks: no 2^n-bit vector is split or
+        # joined, and no mask table is built above BLOCK
+        for name in ("_join", "_blocks"):
+            monkeypatch.setattr(setcube, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+        for name in ("absent_masks", "level_masks", "full_mask"):
+            table = getattr(setcube, name)
+
+            def small_only(k, table=table, name=name):
+                if k > setcube.BLOCK:
+                    raise AssertionError(f"{name}({k}) built above BLOCK")
+                return table(k)
+
+            for mod in (setcube, constructions, lift):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, small_only)
+        code, rep = run_json(capsys, "verify", "q21")
+        assert code == 0 and rep["results"]["s1_count"] == 937950
+        out = tmp_path / "D"
+        code, rep = run_json(capsys, "build", "q21", "--out", str(out))
+        assert code == 0 and rep["results"]["counts"] == [786432] * 3
+        assert uc.read_upset(out / "q21_z.upset").count == 786432
+        code, rep = run_json(capsys, "verify", "kahn", "--n", "24", "--l", "3", "--p", "3/8")
+        assert code == 0 and all(rep["verdicts"].values())
+        assert rep["results"]["occupancy"]["counts"] == [254, 4194558, 8388123, 4194281]
 
 
 class TestSearch:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import upcube as uc
+from upcube import setcube
 from upcube.constructions import ConstructionParams, TripleSystem
 from upcube.errors import InvalidParams, NotUpwardClosed, OutOfRange
 
@@ -52,6 +53,26 @@ class TestBasicFamilies:
         l = data.draw(st.integers(0, n + 1))
         assert uc.is_upward_closed(uc.dictator(n, i))
         assert uc.is_upward_closed(uc.threshold(n, l))
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_blocked_match_definitions(self, monkeypatch, n):
+        # BLOCK = 3: above n = 3 the constructions are built from the 2^3-bit
+        # tables, block by block, and coordinates 4..n pair whole blocks
+        monkeypatch.setattr(setcube, "BLOCK", 3)
+        cube = range(1 << n)
+        for i in range(1, n + 1):
+            d = uc.dictator(n, i)
+            assert len(d._blocks) == 1 << max(0, n - 3)
+            assert set(d) == {m for m in cube if m >> (i - 1) & 1}
+        for l in range(n + 2):
+            t = uc.threshold(n, l)
+            assert len(t._blocks) == 1 << max(0, n - 3)
+            assert set(t) == {m for m in cube if m.bit_count() >= l}
+        for l in range(1, n - 1):
+            z = uc.kahn_triple(ConstructionParams(n, l)).z
+            assert set(z) == {
+                m for m in cube if m.bit_count() > l or (m.bit_count() == l and not m & 0b11)
+            }
 
 
 class TestTripleSystem:

@@ -129,7 +129,7 @@ class TestPullBack:
             g = LiftGadget(b, rng.choice(selectors))
             s = uc.Family(m, rng.getrandbits(1 << m))
             got = uc.pull_back(s, g)
-            assert len(setcube._blocks_of(got)) == 1 << max(0, b * m - block)
+            assert len(got._blocks) == 1 << max(0, b * m - block)
             assert set(got) == naive_pull_back(set(s), m, set(g.i_fam), b)
             assert got._upward_closed is None  # never marked closed
 

@@ -30,7 +30,6 @@ from upcube.setcube import (
     level_masks,
     level_weights,
     mask_from_elements,
-    occupancy_class_bits,
     select_bit,
 )
 
@@ -80,6 +79,10 @@ class TestFamilyBasics:
             uc.Family(-1, 0)
         with pytest.raises(OutOfRange):
             uc.Family(2, 1 << 16)  # vector too wide for Q_2
+        for bad in (1 << 4, -1):  # the first point past Q_2, a negative vector
+            with pytest.raises(OutOfRange):
+                uc.Family(2, bad)
+        assert uc.Family(2, (1 << 4) - 1) == uc.full_family(2)
 
     def test_container_protocol(self):
         fam = uc.family_from_points(3, [0b101, 0b111])
@@ -288,6 +291,13 @@ class TestMeasure:
             uc.occupancy(fam, fam, fam, HALF)
 
 
+def block3(mp: pytest.MonkeyPatch, fam: uc.Family) -> uc.Family:
+    """fam rebuilt as blocks of 2^3 points, with BLOCK patched to 3 on mp:
+    a family keeps the blocks it was built with."""
+    mp.setattr(setcube, "BLOCK", 3)
+    return uc.Family(fam.n, fam.bits)
+
+
 class TestBlockedKernels:
     """The kernels work on blocks of 2^min(n, BLOCK) bits.  With BLOCK
     patched to 3, the oracle properties reach 2^(n-3) blocks at n = 4..8,
@@ -299,16 +309,14 @@ class TestBlockedKernels:
     @given(blocked)
     def test_closure_matches_naive(self, fam):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(setcube, "BLOCK", 3)
-            closed = uc.up_closure(fam)
+            closed = uc.up_closure(block3(mp, fam))
         want = naive_up_closure(fam.n, fam_to_set(fam)) if fam.count else set()
         assert fam_to_set(closed) == want
 
     @given(blocked)
     def test_is_upward_closed_matches_naive(self, fam):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(setcube, "BLOCK", 3)
-            got = uc.is_upward_closed(fam)
+            got = uc.is_upward_closed(block3(mp, fam))
         assert got == naive_is_upward_closed(fam.n, fam_to_set(fam))
 
     @pytest.mark.parametrize(
@@ -337,15 +345,13 @@ class TestBlockedKernels:
     @given(blocked_upsets)
     def test_minimal_matches_naive(self, fam):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(setcube, "BLOCK", 3)
-            got = set(iter_bits(uc.minimal_mask(fam)))
+            got = set(iter_bits(uc.minimal_mask(block3(mp, fam))))
         assert got == naive_minimal(fam_to_set(fam))
 
     @given(blocked)
     def test_minimal_mask_of_any_family(self, fam):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(setcube, "BLOCK", 3)
-            got = set(iter_bits(uc.minimal_mask(fam)))
+            got = set(iter_bits(uc.minimal_mask(block3(mp, fam))))
         assert got == naive_no_member_below(fam.n, fam_to_set(fam))
 
     def test_minimal_mask_reads_the_input_below(self, monkeypatch):
@@ -357,16 +363,29 @@ class TestBlockedKernels:
     @given(blocked_upsets)
     def test_addable_matches_naive(self, fam):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(setcube, "BLOCK", 3)
-            got = set(iter_bits(uc.addable_mask(fam)))
+            got = set(iter_bits(uc.addable_mask(block3(mp, fam))))
         assert got == naive_addable(fam.n, fam_to_set(fam))
 
     @given(blocked, edge_biases)
     def test_measure_matches_naive(self, fam, p):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(setcube, "BLOCK", 3)
-            got = uc.measure(fam, p)
+            got = uc.measure(block3(mp, fam), p)
         assert got == naive_measure(fam.n, fam_to_set(fam), p)
+
+    @given(blocked)
+    def test_level_counts_match_naive(self, fam):
+        with pytest.MonkeyPatch.context() as mp:
+            got = level_counts(block3(mp, fam))
+        assert got == tuple(sum(m.bit_count() == k for m in fam) for k in range(fam.n + 1))
+
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(*[families(n=n)] * 3)), edge_biases)
+    def test_occupancy_matches_naive(self, xyz, p):
+        with pytest.MonkeyPatch.context() as mp:
+            prof = uc.occupancy(*(block3(mp, f) for f in xyz), p)
+        n, sets = xyz[0].n, [fam_to_set(f) for f in xyz]
+        for i in range(4):
+            cls = {m for m in range(1 << n) if sum(m in s for s in sets) == i}
+            assert (prof.counts[i], prof.densities[i]) == (len(cls), naive_measure(n, cls, p))
 
     @pytest.mark.parametrize("n, block", [(5, 3), (17, 16)])
     def test_violation_only_across_blocks(self, monkeypatch, n, block):
@@ -406,26 +425,27 @@ class TestBlockedKernels:
 
 
 class TestBlockStorage:
-    """Above BLOCK a family may be stored as its blocks.  With BLOCK patched
-    to 3, family_from_points returns a block-backed family at n = 4..8, and
-    it must behave exactly like its bits-backed twin."""
+    """A family is stored as its blocks only.  With BLOCK patched to 3, a
+    family at n = 4..8 is 2^(n-3) blocks, and it must behave exactly like
+    its twin's membership vector, the int oracle (the twin is drawn at the
+    real BLOCK, where it is a single block)."""
 
     @given(st.integers(4, 8).flatmap(lambda n: families(n=n)), st.data())
     def test_block_backed_matches_bits_backed(self, twin, data):
-        n, pts = twin.n, fam_to_set(twin)
-        other = data.draw(families(n=n))
+        n, pts, bits = twin.n, fam_to_set(twin), twin.bits
+        other_bits = data.draw(families(n=n)).bits
         p = data.draw(edge_biases)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(setcube, "BLOCK", 3)
-            fam = uc.family_from_points(n, pts)
-            assert fam._bits is None  # block-backed
-            assert fam == twin and twin == fam
+            fam, other = uc.family_from_points(n, pts), uc.Family(n, other_bits)
+            assert len(fam._blocks) == len(other._blocks) == 1 << (n - 3)
+            assert fam == uc.Family(n, bits) and uc.Family(n, bits) == fam
             assert fam == uc.family_from_points(n, pts)
-            assert (fam == other) == (twin.bits == other.bits)
+            assert (fam == other) == (bits == other_bits)
             assert fam.count == len(fam) == len(pts)
             assert list(fam) == sorted(pts)
             closed = uc.up_closure(fam)
-            assert closed._bits is None
+            assert len(closed._blocks) == 1 << (n - 3)
             assert uc.is_upward_closed(fam) == naive_is_upward_closed(n, pts)
             assert uc.measure(fam, p) == naive_measure(n, pts, p)
             assert uc.measure(closed, p) == naive_measure(n, fam_to_set(closed), p)
@@ -433,26 +453,41 @@ class TestBlockStorage:
             want = naive_minimal(fam_to_set(closed))
             assert uc.minimal_elements(closed) == sorted(want, key=lambda m: (m.bit_count(), m))
             assert uc.minimal_mask(closed) == sum(1 << m for m in want)
-            assert (fam | other).bits == twin.bits | other.bits
-            assert (fam & other).bits == twin.bits & other.bits
-            assert (fam ^ other).bits == twin.bits ^ other.bits
-            assert (fam - other).bits == twin.bits & ~other.bits
-            assert (~fam).bits == full_mask(n) ^ twin.bits
-            assert hash(fam) == hash(twin)
-            assert all((m in fam) == (m in pts) for m in range(1 << n))
-            assert fam.bits == twin.bits
+            assert (fam | other).bits == bits | other_bits
+            assert (fam & other).bits == bits & other_bits
+            assert (fam ^ other).bits == bits ^ other_bits
+            assert (fam - other).bits == bits & ~other_bits
+            assert (~fam).bits == full_mask(n) ^ bits
+            assert hash(fam) == hash(uc.Family(n, bits)) == hash(uc.family_from_points(n, pts))
+            assert all((m in fam) == (m in pts) for m in range(-1, (1 << n) + 1))
+            assert fam.bits == bits
         # joined blocks stay right once BLOCK is back to its value
-        assert closed == uc.up_closure(twin)
+        assert uc.Family(n, closed.bits) == uc.up_closure(twin)
 
-    def test_kernels_split_a_bits_backed_family_once(self, monkeypatch):
+    def test_bits_split_once_when_built(self, monkeypatch):
+        # Family(n, bits) splits its vector when it is built; no kernel
+        # splits or joins after that
         n = 17
-        fam = uc.Family(n, random.Random(5).getrandbits(1 << n))
+        bits = random.Random(5).getrandbits(1 << n)
+        split, splits = setcube._blocks, []
+        monkeypatch.setattr(setcube, "_blocks", lambda n, bits: splits.append(n) or split(n, bits))
+        fam = uc.Family(n, bits)
+        assert splits == [n] and len(fam._blocks) == 2
+        for name in ("_join", "_blocks"):
+            monkeypatch.setattr(setcube, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+        closed = uc.up_closure(fam)
         uc.is_upward_closed(fam)
-        monkeypatch.setattr(setcube, "_blocks", lambda n, bits: pytest.fail("split again"))
-        uc.up_closure(fam)
+        uc.minimal_elements(closed)
         uc.measure(fam, Fraction(1, 3))
-        uc.minimal_mask(fam)
-        assert fam == uc.Family(n, fam.bits)
+        level_counts(fam)
+        uc.occupancy(fam, closed, ~fam, Fraction(1, 3))
+        uc.hk_defect(fam, closed, Fraction(1, 3))
+        assert (fam | closed) - (fam ^ closed) == fam & closed
+        assert hash(fam) == hash(fam) and fam == fam and fam.count == len(fam)
+        assert (5 in fam) == bool(bits >> 5 & 1)
+        assert next(iter(fam)) == (bits & -bits).bit_length() - 1
+        monkeypatch.undo()
+        assert fam.bits == bits and fam == uc.Family(n, bits)
 
 
 class TestOccupancy:
@@ -495,7 +530,7 @@ class TestOccupancy:
 
     @pytest.mark.parametrize("p", [HALF, Fraction(1, 3)])
     def test_normalization_checked(self, monkeypatch, p):
-        monkeypatch.setattr(setcube, "occupancy_class_bits", lambda x, y, z: (0, 0, 0, 0))
+        monkeypatch.setattr(setcube, "_occupancy_block", lambda a, b, c, full: (0, 0, 0, 0))
         with pytest.raises(InvariantViolation):
             uc.occupancy(uc.full_family(3), uc.full_family(3), uc.full_family(3), p)
 
@@ -510,7 +545,7 @@ class TestOccupancy:
             "import upcube as uc\n"
             "from upcube import setcube\n"
             "from upcube.errors import InvariantViolation\n"
-            "setcube.occupancy_class_bits = lambda x, y, z: (0, 0, 0, 0)\n"
+            "setcube._occupancy_block = lambda a, b, c, full: (0, 0, 0, 0)\n"
             "f = uc.full_family(3)\n"
             "try:\n"
             "    uc.occupancy(f, f, f, Fraction(1, 3))\n"
@@ -523,11 +558,11 @@ class TestOccupancy:
         )
         assert proc.returncode == 7, proc.stderr
 
-    def test_occupancy_class_bits_partition(self):
+    def test_occupancy_block_partition(self):
         from upcube.constructions import dictator, threshold
 
         x, y, z = dictator(4, 1), dictator(4, 2), threshold(4, 2)
-        classes = occupancy_class_bits(x, y, z)
+        classes = setcube._occupancy_block(x.bits, y.bits, z.bits, full_mask(4))
         acc = 0
         for bits in classes:
             assert acc & bits == 0
