@@ -401,10 +401,12 @@ def _minimal_blocks(n: int, blocks: list[int]) -> list[int]:
 
 def _minimal_block(bits: int, n: int, out: int) -> int:
     """The points of `out` with no member of the 2^n-bit vector `bits` one
-    element below them: minimal_mask's loop over all n coordinates."""
+    element below them: minimal_mask's loop ORs the n one-step shadows of
+    `bits` into one mask and clears it from `out` once."""
+    below = 0
     for i, absent in enumerate(absent_masks(n)):
-        out ^= out & ((bits & absent) << (1 << i))
-    return out
+        below |= (bits & absent) << (1 << i)
+    return out & ~below
 
 
 def addable_mask(fam: Family) -> int:

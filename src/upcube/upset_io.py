@@ -7,6 +7,13 @@ cube).  A file with only the header denotes the empty family.  Reading
 takes the upward closure of whatever generators are listed; writing
 emits the minimal elements in (cardinality, mask) order, so write→read
 round-trips exactly.
+
+Reading costs one table lookup per label: a generator line whose comma
+tokens are all canonical labels ("1" .. str(n), or a lone "{}") is the sum
+of their bits.  Any other token (" 2 ", "03", "+1", "1_0", a label out of
+range), or a repeated label, sends the whole file through the per-line
+reader `_parse_line`, which accepts every spelling int() does and is where
+every error message comes from.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from pathlib import Path
 from .setcube import (
     N_MAX,
     Family,
+    PointMask,
     family_from_points,
     mask_from_elements,
     minimal_elements,
@@ -31,37 +39,63 @@ _HEADER = re.compile(r"^n\s*=\s*(\d+)$")
 def parse_upset(text: str, close: bool = True) -> Family:
     """Parse .upset text into the upward closure of its listed generators.
 
+    One table lookup per canonical label; a file with any other token is
+    read by `_parse_line`, the source of every generator-line error.
+
     close=False skips the closure and returns the bare generator family
     (used to report how much a closure pass actually adds).
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    body = [ln for ln in lines if ln]
+    body = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not body:
         raise UpsetFormatError("missing 'n=<int>' header line")
     m = _HEADER.match(body[0])
     if not m:
         raise UpsetFormatError(f"bad header line {body[0]!r}, expected 'n=<int>'")
-    n = int(m.group(1))
-    if n > N_MAX:
-        raise UpsetFormatError(f"n={n} exceeds N_MAX={N_MAX}")
+    # \d matches the digits of every script, and int() refuses more than
+    # 4300 of them, so n's digits are counted before it is converted.
+    digits = "".join(str(int(d)) for d in m.group(1)).lstrip("0") or "0"
+    if len(digits) > len(str(N_MAX)) or int(digits) > N_MAX:
+        raise UpsetFormatError(f"n={digits} exceeds N_MAX={N_MAX}")
+    n = int(digits)
 
-    points = []
-    for ln in body[1:]:
-        if ln == "{}":
-            points.append(0)
-            continue
-        try:
-            elems = [int(tok) for tok in ln.split(",")]
-        except ValueError:
-            raise UpsetFormatError(f"unparseable generator line {ln!r}") from None
-        if len(set(elems)) != len(elems):
-            raise UpsetFormatError(f"duplicate element in generator line {ln!r}")
-        try:
-            points.append(mask_from_elements(elems, n))
-        except OutOfRange as exc:
-            raise UpsetFormatError(f"{exc} in generator line {ln!r}") from None
+    gens = body[1:]
+    bit = _label_bits(n)
+    try:
+        points = [sum(map(bit.__getitem__, ln.split(","))) for ln in gens]
+    except KeyError:
+        points = None
+    # A line's popcount equals its count of labels unless it repeats one or
+    # puts "{}" beside another token, so equal totals clear every line.  The
+    # header and blank lines hold no comma.
+    if points is None or sum(map(int.bit_count, points)) != (
+        text.count(",") + len(gens) - gens.count("{}")
+    ):
+        points = [_parse_line(ln, n) for ln in gens]
     raw = family_from_points(n, points)
     return up_closure(raw) if close else raw
+
+
+@lru_cache(maxsize=None)
+def _label_bits(n: int) -> dict[str, int]:
+    """Each canonical label of [n] mapped to its mask bit, and "{}" to 0."""
+    return {"{}": 0, **{str(i + 1): 1 << i for i in range(n)}}
+
+
+def _parse_line(ln: str, n: int) -> PointMask:
+    """The point mask of one stripped generator line, read token by token
+    with int(); raises UpsetFormatError for a malformed line."""
+    if ln == "{}":
+        return 0
+    try:
+        elems = [int(tok) for tok in ln.split(",")]
+    except ValueError:
+        raise UpsetFormatError(f"unparseable generator line {ln!r}") from None
+    if len(set(elems)) != len(elems):
+        raise UpsetFormatError(f"duplicate element in generator line {ln!r}")
+    try:
+        return mask_from_elements(elems, n)
+    except OutOfRange as exc:
+        raise UpsetFormatError(f"{exc} in generator line {ln!r}") from None
 
 
 @lru_cache(maxsize=None)

@@ -7,9 +7,13 @@ point masks.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
+
+from upcube.errors import OutOfRange, UpsetFormatError
+from upcube.setcube import N_MAX, family_from_points, mask_from_elements, up_closure
 
 
 def naive_iter_bits(mask: int) -> list[int]:
@@ -219,3 +223,41 @@ def naive_local_search(n, rho, kind, p, seed, max_iters, stop_at=None):
             if s > best:
                 best, best_fams = s, trial
     return best_fams, Fraction(best, b**n), it
+
+
+_HEADER = re.compile(r"^n\s*=\s*(\d+)$")
+
+
+def naive_parse_upset(text: str, close: bool = True):
+    """The .upset reader as it was before the label table: every line goes
+    through int() token by token.  It is the reference for what the reader
+    accepts and for every error message (it shares the library's mask and
+    closure kernels, which have oracles of their own above)."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    body = [ln for ln in lines if ln]
+    if not body:
+        raise UpsetFormatError("missing 'n=<int>' header line")
+    m = _HEADER.match(body[0])
+    if not m:
+        raise UpsetFormatError(f"bad header line {body[0]!r}, expected 'n=<int>'")
+    n = int(m.group(1))
+    if n > N_MAX:
+        raise UpsetFormatError(f"n={n} exceeds N_MAX={N_MAX}")
+
+    points = []
+    for ln in body[1:]:
+        if ln == "{}":
+            points.append(0)
+            continue
+        try:
+            elems = [int(tok) for tok in ln.split(",")]
+        except ValueError:
+            raise UpsetFormatError(f"unparseable generator line {ln!r}") from None
+        if len(set(elems)) != len(elems):
+            raise UpsetFormatError(f"duplicate element in generator line {ln!r}")
+        try:
+            points.append(mask_from_elements(elems, n))
+        except OutOfRange as exc:
+            raise UpsetFormatError(f"{exc} in generator line {ln!r}") from None
+    raw = family_from_points(n, points)
+    return up_closure(raw) if close else raw

@@ -12,7 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from upcube import cli
 
@@ -49,6 +49,7 @@ BAD_UPSET = st.tuples(
             b"n=abc\n",
             b"n=25\n1\n",
             b"n=99999999999999999999\n",
+            b"n=" + b"9" * 5000 + b"\n",
             b"n=3\n1,1\n",
             b"n=3\n4\n",
             b"n=3\n0\n",
@@ -187,6 +188,8 @@ def _verdicts(argv: list[str], out: str) -> list[bool] | None:
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
+# a header past int()'s 4300-digit limit, checked before it is converted
+@example((["measure", "--family", "family.upset"], {"family.upset": b"n=" + b"9" * 5000 + b"\n"}))
 def test_every_exit_is_honest(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:

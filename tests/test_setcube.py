@@ -198,6 +198,17 @@ class TestMinimalAndAddable:
         got = set(uc.minimal_elements(fam))
         assert got == naive_minimal(fam_to_set(fam))
 
+    @given(st.data())
+    def test_minimal_block_call_shapes(self, data):
+        # bits and out are drawn independently; the kernel is called as the
+        # hill climb calls it, (bits | 1 << a, n, bits): out inside the
+        # vector searched one element below it
+        n = data.draw(st.integers(0, 10))
+        bits, out = (data.draw(st.integers(0, (1 << (1 << n)) - 1)) for _ in range(2))
+        have = bits | out
+        below_free = naive_no_member_below(n, set(naive_iter_bits(have)))
+        assert setcube._minimal_block(have, n, out) == out & sum(1 << m for m in below_free)
+
     @given(upsets(max_n=5))
     def test_addable_matches_naive(self, fam):
         got = {m for m in range(1 << fam.n) if uc.addable_mask(fam) >> m & 1}

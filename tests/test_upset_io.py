@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 import upcube as uc
+from upcube import upset_io
 from upcube.errors import NotUpwardClosed, UpsetFormatError
 
 from cube_strategies import upsets
-from oracles import naive_elements
+from oracles import naive_elements, naive_parse_upset
 
 
 def test_format_basic():
@@ -60,11 +62,89 @@ def test_unsorted_elements_accepted():
         "n=3\n4\n",  # out of range high
         "n=3\na,b\n",  # not integers
         "n=3\n1;2\n",  # wrong separator
+        pytest.param("n=" + "9" * 5000 + "\n", id="n=9x5000"),  # past int()'s digit limit
     ],
 )
 def test_rejected_inputs(text):
     with pytest.raises(UpsetFormatError):
         uc.parse_upset(text)
+
+
+def test_header_digits_checked_before_conversion():
+    with pytest.raises(UpsetFormatError, match="exceeds N_MAX=24"):
+        uc.parse_upset("n=" + "9" * 5000 + "\n")
+    # leading zeros, of any script, do not count
+    three = uc.parse_upset("n=3\n1\n")
+    for header in ("n=03", "n=" + "0" * 5000 + "3", "n=\u0660\u0660\u0663"):
+        assert uc.parse_upset(header + "\n1\n") == three
+    assert uc.parse_upset("n=024\n").n == 24
+
+
+# Lines for the reader/oracle property: canonical labels in any order, the
+# spellings only int() reads, and malformed lines of every kind.
+LENIENT = (" 2 ", "03", "+1", "1_0", "\u0663")
+MALFORMED = ("1,01", "0", "2,1,2", "1,,2", "1,2,", "{},1", "{},{}", "9" * 5000, "a", "1;2", "-1")
+
+
+@st.composite
+def upset_texts(draw) -> str:
+    n = draw(st.integers(0, 9))
+    header = draw(st.sampled_from((f"n={n}", f" n = {n} ", f"n=0{n}")))
+
+    def canonical():
+        return ",".join(map(str, draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]))
+
+    def line():
+        kind = draw(st.sampled_from(("canonical", "lenient", "malformed", "out", "blank")))
+        if kind == "canonical":
+            return canonical() or "{}"
+        if kind == "lenient":
+            return ",".join(filter(None, (canonical(), draw(st.sampled_from(LENIENT)))))
+        if kind == "malformed":
+            return draw(st.sampled_from(MALFORMED))
+        if kind == "out":
+            return str(n + 1)
+        return draw(st.sampled_from(("", "  ")))
+
+    lines = [line() for _ in range(draw(st.integers(0, 8)))]
+    if draw(st.booleans()):  # a bad line after many good ones
+        bad = draw(st.sampled_from((*MALFORMED, str(n + 1))))
+        lines = [canonical() or "{}" for _ in range(50)] + [bad]
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join([header, *lines]) + end
+
+
+def outcome(parse, text, close):
+    try:
+        return parse(text, close)
+    except UpsetFormatError as exc:
+        return type(exc), str(exc)
+
+
+@given(upset_texts(), st.booleans())
+def test_parse_matches_per_line_oracle(text, close):
+    assert outcome(uc.parse_upset, text, close) == outcome(naive_parse_upset, text, close)
+
+
+def test_canonical_files_never_leave_the_label_table(monkeypatch, q21):
+    def refuse(ln, n):
+        raise AssertionError(f"line {ln!r} left the label table")
+
+    rng = random.Random(14)
+    fams = [
+        uc.up_closure(uc.family_from_points(n, [rng.randrange(1 << n) for _ in range(k)]))
+        for n in (0, 1, 5, 16, 17)
+        for k in (0, 1, 40)
+    ]
+    fams.append(q21[0].z)
+    sparse24 = uc.family_from_points(24, [rng.randrange(1 << 24) for _ in range(20)])
+    fams.append(uc.up_closure(sparse24))
+    texts = [uc.format_upset(fam) for fam in fams]
+    monkeypatch.setattr(upset_io, "_parse_line", refuse)
+    for fam, text in zip(fams, texts):
+        assert uc.parse_upset(text) == fam
+        gens = uc.family_from_points(fam.n, uc.minimal_elements(fam))
+        assert uc.parse_upset(text, close=False) == gens
 
 
 def test_writer_requires_closed_family(tmp_path):
