@@ -23,6 +23,7 @@ from .setcube import (
     Family,
     OccupancyProfile,
     addable_mask,
+    close_points,
     empty_family,
     family_from_points,
     mask_from_elements,
@@ -32,6 +33,7 @@ from .setcube import (
     measure,
     minimal_elements,
     minimal_mask,
+    minimal_points,
     occupancy,
     random_upset,
     up_closure,
@@ -62,6 +64,14 @@ from .search import (
     exhaustive_best,
     local_search,
 )
-from .upset_io import format_upset, parse_upset, read_upset, write_upset
+from .upset_io import (
+    format_generators,
+    format_upset,
+    parse_generators,
+    parse_upset,
+    read_generators,
+    read_upset,
+    write_upset,
+)
 
 __version__ = "0.1.0"

@@ -22,15 +22,16 @@ from . import bounds, constructions, lift, posets, search
 from .setcube import (
     Family,
     OccupancyProfile,
+    close_points,
     hk_defect,
     is_upward_closed,
     measure,
+    minimal_points,
     occupancy,
     random_upset,
-    up_closure,
 )
 from .errors import InvalidParams, TooLarge, UpcubeError
-from .upset_io import format_upset, read_upset, write_upset
+from .upset_io import format_generators, format_upset, read_generators, read_upset, write_upset
 
 
 def rat(x: Fraction | int) -> str:
@@ -214,19 +215,20 @@ def _cmd_measure(args) -> tuple[dict, int]:
 
 
 def _cmd_closure(args) -> tuple[dict | None, int]:
-    raw = read_upset(args.family, close=False)
-    closed = up_closure(raw)
-    text = format_upset(closed)
+    n, points = read_generators(args.family)
+    closed = close_points(n, points)
+    text = format_generators(n, minimal_points(closed, points))
     if not args.out:
         sys.stdout.write(text)
         return None, 0  # the .upset text is the output
     Path(args.out).write_text(text)
+    distinct = len(set(points))
     results = {
         "family": str(args.family),
-        "n": raw.n,
-        "generators": raw.count,
+        "n": n,
+        "generators": distinct,
         "closed_count": closed.count,
-        "was_already_closed": raw == closed,
+        "was_already_closed": closed.count == distinct,  # the points lie in closed
         "out": str(args.out),
     }
     return _report("closure", {}, results, {})

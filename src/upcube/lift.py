@@ -145,6 +145,11 @@ def topup_to_count(z0: Family, pool: Family, target: int) -> Family:
         raise InvalidParams(f"target {target} outside [{z0.count}, {z0.count + pool.count}]")
     out = list(base)
     masks = level_masks(w)
+    # a lifted pool repeats a few blocks many times: each distinct block
+    # meets each low level once
+    ids: dict[int, int] = {}
+    keys = [ids.setdefault(blk, len(ids)) for blk in extra]
+    levels: dict[tuple[int, int], tuple[int, int]] = {}
     for k in range(n, -1, -1):
         for c, blk in enumerate(extra):
             if not need:
@@ -152,8 +157,11 @@ def topup_to_count(z0: Family, pool: Family, target: int) -> Family:
             low = k - c.bit_count()
             if not blk or not 0 <= low <= w:
                 continue
-            avail = blk & masks[low]
-            got = avail.bit_count()
+            key = keys[c], low
+            if key not in levels:
+                avail = blk & masks[low]
+                levels[key] = avail, avail.bit_count()
+            avail, got = levels[key]
             if got > need:  # partial level: the `need` smallest masks of this block
                 avail &= (2 << select_bit(avail, need - 1)) - 1
                 got = need

@@ -30,9 +30,11 @@ from __future__ import annotations
 import operator
 import random
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import pairwise
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -265,8 +267,17 @@ def full_family(n: int) -> Family:
 
 
 def family_from_points(n: int, points: Iterable[PointMask]) -> Family:
-    """Family containing exactly the given point masks (no closure taken)."""
+    """Family containing exactly the given point masks (no closure taken).
+
+    Above BLOCK only the blocks that hold a point are built.
+    """
     check_dim(n)
+    w = _width(n)
+    if w < n:
+        blocks = [0] * (1 << (n - w))
+        for c, pts in _point_blocks(n, list(points)):
+            blocks[c] = _block_of(pts, w)
+        return Family._of_blocks(n, blocks)
     size = 1 << n
     buf = bytearray(max(1, size >> 3))
     for p in points:
@@ -274,6 +285,115 @@ def family_from_points(n: int, points: Iterable[PointMask]) -> Family:
             raise OutOfRange(f"point mask {p} outside Q_{n}")
         buf[p >> 3] |= 1 << (p & 7)
     return Family._of_blocks(n, _split(n, buf))
+
+
+# A block with at most SPARSE listed points is closed, and its minimal points
+# found, point by point; a fuller block runs the coordinate loop.  Counted in
+# ANDs of two 2^w-bit blocks (w = BLOCK = 16, 8 KiB): the loop is w passes of
+# an AND, a shift and an OR, and a shift copies the whole block, so a pass
+# costs about 8 ANDs and the loop about 8w = 128.  A point's principal upset
+# is one AND per element among its low w coordinates, w/2 = 8 for a typical
+# point, plus one OR into the block: about 9.  The loop wins past 128/9, about
+# 14 points.  The point path's minimality check (the block's other points,
+# then one AND per top coordinate) costs less than its closure, so one cut
+# at 16 serves both.
+SPARSE = 16
+
+
+def _point_blocks(n: int, points: list[PointMask]) -> list[tuple[int, list[PointMask]]]:
+    """The point masks grouped by storage block: (block c, its points in
+    ascending order) for each block holding one, c ascending, repeats kept;
+    OutOfRange for a point outside Q_n."""
+    w = _width(n)
+    pts = sorted(points)  # then each block is a slice
+    if pts and not (0 <= pts[0] and pts[-1] < 1 << n):
+        bad = next(p for p in points if not 0 <= p < 1 << n)
+        raise OutOfRange(f"point mask {bad} outside Q_{n}")
+    cuts = [bisect_left(pts, c << w) for c in range(1 << (n - w))] + [len(pts)]
+    return [(c, pts[a:b]) for c, (a, b) in enumerate(pairwise(cuts)) if a < b]
+
+
+def _block_of(points: list[PointMask], w: int) -> int:
+    """The 2^w-bit block holding the given points of one block."""
+    buf = bytearray(max(1, (1 << w) >> 3))
+    last = len(buf) - 1  # the block's byte positions, a power of two minus one
+    for p in points:
+        buf[p >> 3 & last] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+@lru_cache(maxsize=None)
+def _present_masks(w: int) -> tuple[int, ...]:
+    """_present_masks(w)[j] marks the points of a 2^w-bit block whose mask
+    has bit j set: the principal upset of the point 1 << j."""
+    full = full_mask(w)
+    return tuple(full ^ absent for absent in absent_masks(w))
+
+
+def close_points(n: int, points: Iterable[PointMask]) -> Family:
+    """up_closure(family_from_points(n, points)), built block by block from
+    the points: a block with at most SPARSE of them is the OR of their
+    principal upsets (each an AND of the present masks of its low
+    coordinates), a fuller one runs up_closure's coordinate loop, and a
+    block without points costs nothing until the top coordinates pair the
+    blocks, as in up_closure.  A single full block (n <= BLOCK) is
+    up_closure(family_from_points(n, points)) itself."""
+    check_dim(n)
+    w = _width(n)
+    listed = list(points)
+    if w == n and len(listed) > SPARSE:
+        return up_closure(family_from_points(n, listed))
+    blocks = [0] * (1 << (n - w))
+    full, present, low = full_mask(w), _present_masks(w), (1 << w) - 1
+    for c, pts in _point_blocks(n, listed):
+        if len(pts) > SPARSE:
+            blocks[c] = _close_block(_block_of(pts, w), w)
+            continue
+        blk = 0
+        for p in pts:
+            up, i = full, p & low
+            while i:
+                bit = i & -i
+                up &= present[bit.bit_length() - 1]
+                i ^= bit
+            blk |= up
+        blocks[c] = blk
+    return _close_across(n, blocks)
+
+
+def minimal_points(closed: Family, points: Iterable[PointMask]) -> list[PointMask]:
+    """minimal_elements(closed) for closed = close_points(closed.n, points),
+    sorted by (size, mask), found among the points.
+
+    Every minimal member of a closure is one of its points, and a point is
+    minimal iff no other point lies inside it.  A point inside p, of block
+    c, lies in block c or inside p minus some top coordinate t of c, that
+    is, at p's low position in the closed block c - t.  A block with at
+    most SPARSE points checks each of them so; a fuller block runs
+    minimal_mask's passes on its closed block, and a single full block
+    (n <= BLOCK) is minimal_elements(closed) itself.
+    """
+    n, w = closed.n, _width(closed.n)
+    listed = list(points)
+    if w == n and len(listed) > SPARSE:
+        return minimal_elements(closed)
+    blocks = closed._blocks
+    tops = [1 << t for t in range(n - w)]
+    low = (1 << w) - 1
+    out = []
+    for c, pts in _point_blocks(n, listed):
+        below = [blocks[c ^ t] for t in tops if c & t]
+        if len(pts) > SPARSE:
+            found = _minimal_in_block(blocks[c], below, w)
+            out.extend(map((c << w).__add__, iter_bits(found)))
+            continue
+        own = set(pts)
+        for p in own:
+            bit = 1 << (p & low)
+            if not any(q != p and q & p == q for q in own) and not any(b & bit for b in below):
+                out.append(p)
+    out.sort()  # then a stable sort by size keeps ties in mask order
+    return sorted(out, key=int.bit_count)
 
 
 def _width(n: int) -> int:
@@ -335,10 +455,16 @@ def up_closure(fam: Family) -> Family:
     membership is closed under adding element i+1, and closure under all
     n coordinates is closure under taking arbitrary supersets.
     """
-    n, w = fam.n, _width(fam.n)
-    blocks = [_close_block(blk, w) for blk in fam._blocks]
-    for lo, hi in _pairs(n - w):
-        blocks[hi] |= blocks[lo]
+    w = _width(fam.n)
+    return _close_across(fam.n, [_close_block(blk, w) for blk in fam._blocks])
+
+
+def _close_across(n: int, blocks: list[int]) -> Family:
+    """The closed family of blocks each closed over the low coordinates: each
+    top coordinate ORs block c into block c plus that coordinate."""
+    for lo, hi in _pairs(n - _width(n)):
+        if blocks[lo]:
+            blocks[hi] |= blocks[lo]
     closed = Family._of_blocks(n, blocks)
     closed._upward_closed = True  # closed by construction
     return closed
@@ -386,17 +512,24 @@ def minimal_mask(fam: Family) -> int:
 
 
 def _minimal_blocks(n: int, blocks: list[int]) -> list[int]:
-    """minimal_mask of a block list, as a new block list.
-
-    The top coordinates go first: a block whose members all have a member
-    below them in a lower block has no minimal member, and its low pass
-    is skipped.
-    """
+    """minimal_mask of a block list, as a new block list."""
     w = _width(n)
-    out = list(blocks)
-    for lo, hi in _pairs(n - w):
-        out[hi] ^= out[hi] & blocks[lo]
-    return [_minimal_block(blk, w, cand) if cand else 0 for blk, cand in zip(blocks, out)]
+    tops = [1 << t for t in range(n - w)]
+    return [
+        _minimal_in_block(blk, [blocks[c ^ t] for t in tops if c & t], w)
+        for c, blk in enumerate(blocks)
+    ]
+
+
+def _minimal_in_block(bits: int, below: list[int], w: int) -> int:
+    """The members of block `bits` with no member one element below them,
+    given the blocks one top coordinate below it.  The top coordinates go
+    first: a block whose members all have a member below them in a lower
+    block has no minimal member, and its low pass is skipped."""
+    cand = bits
+    for blk in below:
+        cand ^= cand & blk
+    return _minimal_block(bits, w, cand) if cand else 0
 
 
 def _minimal_block(bits: int, n: int, out: int) -> int:

@@ -8,12 +8,17 @@ takes the upward closure of whatever generators are listed; writing
 emits the minimal elements in (cardinality, mask) order, so write→read
 round-trips exactly.
 
-Reading costs one table lookup per label: a generator line whose comma
+Reading has two steps.  `parse_generators` turns the text into the listed
+point masks at one table lookup per label: a generator line whose comma
 tokens are all canonical labels ("1" .. str(n), or a lone "{}") is the sum
 of their bits.  Any other token (" 2 ", "03", "+1", "1_0", a label out of
 range), or a repeated label, sends the whole file through the per-line
 reader `_parse_line`, which accepts every spelling int() does and is where
-every error message comes from.
+every error message comes from.  `setcube.close_points` then builds the
+closure block by block from those points, so no 2^n-bit buffer is built and
+a storage block holding no generator costs nothing until the closure's
+cross-block passes.  `parse_upset` and `read_upset` are the two steps
+together; `closure` reads the bare generators with `read_generators`.
 """
 
 from __future__ import annotations
@@ -26,24 +31,21 @@ from .setcube import (
     N_MAX,
     Family,
     PointMask,
-    family_from_points,
+    close_points,
     mask_from_elements,
     minimal_elements,
-    up_closure,
 )
 from .errors import OutOfRange, UpsetFormatError
 
 _HEADER = re.compile(r"^n\s*=\s*(\d+)$")
 
 
-def parse_upset(text: str, close: bool = True) -> Family:
-    """Parse .upset text into the upward closure of its listed generators.
+def parse_generators(text: str) -> tuple[int, list[PointMask]]:
+    """The dimension and the listed generator point masks of .upset text,
+    in file order, repeats kept.
 
     One table lookup per canonical label; a file with any other token is
     read by `_parse_line`, the source of every generator-line error.
-
-    close=False skips the closure and returns the bare generator family
-    (used to report how much a closure pass actually adds).
     """
     body = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not body:
@@ -71,8 +73,12 @@ def parse_upset(text: str, close: bool = True) -> Family:
         text.count(",") + len(gens) - gens.count("{}")
     ):
         points = [_parse_line(ln, n) for ln in gens]
-    raw = family_from_points(n, points)
-    return up_closure(raw) if close else raw
+    return n, points
+
+
+def parse_upset(text: str) -> Family:
+    """Parse .upset text into the upward closure of its listed generators."""
+    return close_points(*parse_generators(text))
 
 
 @lru_cache(maxsize=None)
@@ -106,24 +112,34 @@ def _byte_labels(byte: int) -> tuple[str, ...]:
     return tuple("".join(f"{base + i}," for i in range(8) if v >> i & 1) for v in range(256))
 
 
-def format_upset(fam: Family) -> str:
-    """Render a family as .upset text (requires upward closedness)."""
+def format_generators(n: int, points: list[PointMask]) -> str:
+    """.upset text of Q_n listing the given point masks in the given order."""
     # N_MAX = 24, so a point mask has at most three bytes.
     low, mid, high = _byte_labels(0), _byte_labels(1), _byte_labels(2)
-    out = [f"n={fam.n}"]
-    for mask in minimal_elements(fam):
+    out = [f"n={n}"]
+    for mask in points:
         labels = low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
         out.append(labels[:-1] if mask else "{}")
     return "\n".join(out) + "\n"
 
 
-def read_upset(path: str | Path, close: bool = True) -> Family:
-    """parse_upset of a file's text; a file that is not UTF-8 is malformed."""
+def format_upset(fam: Family) -> str:
+    """Render a family as .upset text (requires upward closedness)."""
+    return format_generators(fam.n, minimal_elements(fam))
+
+
+def read_generators(path: str | Path) -> tuple[int, list[PointMask]]:
+    """parse_generators of a file's text; a file that is not UTF-8 is malformed."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UpsetFormatError(f"{path} is not UTF-8 text: {exc}") from None
-    return parse_upset(text, close)
+    return parse_generators(text)
+
+
+def read_upset(path: str | Path) -> Family:
+    """The upward closure of the generators a .upset file lists."""
+    return close_points(*read_generators(path))
 
 
 def write_upset(fam: Family, path: str | Path) -> None:

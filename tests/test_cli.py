@@ -190,15 +190,15 @@ class TestMeasureAndClosure:
         code, rep = run_json(capsys, "closure", str(src), "--out", str(dst))
         assert code == 0
         fam = uc.read_upset(dst)
-        want = uc.up_closure(uc.parse_upset(src.read_text(), close=False))
+        want = uc.up_closure(uc.family_from_points(*uc.parse_generators(src.read_text())))
         assert fam == want
         assert rep["results"]["closed_count"] == fam.count
         assert rep["results"]["was_already_closed"] is False
 
     def test_blocked_closure_and_measure_use_no_big_tables(self, capsys, tmp_path, monkeypatch):
-        # n = 18 > BLOCK: closure, closedness, minimal mask and the biased
-        # measure must get by with the 2^BLOCK-bit tables.
-        n = 18
+        # n = 18 and 24 > BLOCK: closure, closedness, minimal points and the
+        # biased measure must get by with the 2^BLOCK-bit tables, and no
+        # 2^n-bit buffer may be split into blocks.
         for name in ("absent_masks", "level_masks"):
             table = getattr(setcube, name)
 
@@ -208,23 +208,64 @@ class TestMeasureAndClosure:
                 return table(k)
 
             monkeypatch.setattr(setcube, name, small_only)
-        gens = ["1,2,17", "3,18", "5,6,7,8,9,10,11,12,13,14,15,16", "4,17,18"]
+        split = setcube._split
+
+        def small_split(n, data):
+            if len(data) * 8 > 1 << setcube.BLOCK:
+                raise AssertionError(f"a {len(data)}-byte buffer split above BLOCK")
+            return split(n, data)
+
+        monkeypatch.setattr(setcube, "_split", small_split)
+        middle = "5,6,7,8,9,10,11,12,13,14,15,16"
+        cases = [
+            (18, ["1,2,17", "3,18", middle, "4,17,18"], ["3,18", "1,2,17", "4,17,18", middle]),
+            (
+                24,
+                ["1,2,23", "3,24", middle, "4,17,18", "19,20,21,22", "1,2,3,23"],
+                ["3,24", "4,17,18", "1,2,23", "19,20,21,22", middle],
+            ),
+        ]
+        for n, gens, minimal in cases:
+            src = tmp_path / f"gen{n}.upset"
+            src.write_text(f"n={n}\n" + "\n".join(gens) + "\n")
+            dst = tmp_path / f"closed{n}.upset"
+            code, rep = run_json(capsys, "closure", str(src), "--out", str(dst))
+            assert code == 0
+            assert dst.read_text() == f"n={n}\n" + "\n".join(minimal) + "\n"
+            code, rep = run_json(capsys, "measure", "--family", str(dst), "--p", "3/8")
+            assert code == 0 and rep["results"]["upward_closed"] is True
+            # inclusion-exclusion over the principal upsets of the generators
+            sets = [set(map(int, g.split(","))) for g in minimal]
+            p = Fraction(3, 8)
+            want = sum(
+                (-1) ** (k + 1) * sum(p ** len(set().union(*c)) for c in combinations(sets, k))
+                for k in range(1, len(sets) + 1)
+            )
+            assert rep["results"]["measure"] == rat(want)
+
+    def test_repeated_and_contained_generators(self, capsys, tmp_path):
+        # a repeated line; generators containing another through a low
+        # coordinate (same block) and through a top one (the block below)
+        lines = ["1,2,23", "3,24", "1,2,23", "1,2,3,23", "3,4,24", "5,6,7,8,9,10,11,12,13,14,15,16"]
+        lines += ["4,17,18", "4,17,18,19"]
         src = tmp_path / "gen.upset"
-        src.write_text(f"n={n}\n" + "\n".join(gens) + "\n")
+        src.write_text("n=24\n" + "\n".join(lines) + "\n")
         dst = tmp_path / "closed.upset"
         code, rep = run_json(capsys, "closure", str(src), "--out", str(dst))
         assert code == 0
-        assert dst.read_text() == f"n={n}\n3,18\n1,2,17\n4,17,18\n" + gens[2] + "\n"
-        code, rep = run_json(capsys, "measure", "--family", str(dst), "--p", "3/8")
-        assert code == 0 and rep["results"]["upward_closed"] is True
-        # inclusion-exclusion over the principal upsets of the generators
-        sets = [set(map(int, g.split(","))) for g in gens]
-        p = Fraction(3, 8)
-        want = sum(
-            (-1) ** (k + 1) * sum(p ** len(set().union(*c)) for c in combinations(sets, k))
+        minimal = ["3,24", "4,17,18", "1,2,23", "5,6,7,8,9,10,11,12,13,14,15,16"]
+        assert dst.read_text() == "n=24\n" + "\n".join(minimal) + "\n"
+        sets = [set(map(int, g.split(","))) for g in minimal]
+        count = sum(
+            (-1) ** (k + 1) * sum(2 ** (24 - len(set().union(*c))) for c in combinations(sets, k))
             for k in range(1, len(sets) + 1)
         )
-        assert rep["results"]["measure"] == rat(want)
+        assert count == 7145776
+        assert rep["results"]["generators"] == 7
+        assert rep["results"]["closed_count"] == count
+        assert rep["results"]["was_already_closed"] is False
+        code, out, err = run(capsys, "closure", str(src))
+        assert code == 0 and out == dst.read_text()
 
     def test_blocked_path_never_joins(self, capsys, tmp_path, monkeypatch):
         # n = 18 > BLOCK: reading, closing, comparing, counting, measuring
@@ -259,7 +300,7 @@ class TestMeasureAndClosure:
         code, out, err = run(capsys, "closure", str(path))
         assert code == 0
         fam = uc.parse_upset(out)
-        assert fam == uc.up_closure(uc.parse_upset(path.read_text(), close=False))
+        assert fam == uc.up_closure(uc.family_from_points(*uc.parse_generators(path.read_text())))
 
 
 def test_result_past_the_digit_limit_exits_2(capsys):
@@ -630,15 +671,19 @@ class TestOptimizedInterpreter:
             ("verify", "kahn", "--n", "7", "--l", "3", "--p", "3/8"),
             ("lp", "--rho", "1/2"),
             ("build", "q21", "--out", "D"),
+            ("closure", "gen24.upset", "--out", "D/closed24.upset"),
         ],
         ids=" ".join,
     )
     def test_same_output_under_dash_o(self, tmp_path, argv):
         src = str(Path(uc.__file__).parents[1])
+        rng = random.Random(24)
+        gens = [",".join(map(str, sorted(rng.sample(range(1, 25), 12)))) for _ in range(60)]
         runs = []
         for flags in ([], ["-O"]):
             cwd = tmp_path / ("optimized" if flags else "plain")
-            cwd.mkdir()
+            (cwd / "D").mkdir(parents=True)
+            (cwd / "gen24.upset").write_text("n=24\n" + "\n".join(gens) + "\n")
             proc = subprocess.run(
                 [sys.executable, *flags, "-m", "upcube.cli", *argv],
                 cwd=cwd,
@@ -651,4 +696,4 @@ class TestOptimizedInterpreter:
         assert runs[0] == runs[1]
         code, out, err, files = runs[0]
         assert code == 0 and err == b"" and out
-        assert len(files) == (3 if "--out" in argv else 0)
+        assert len(files) == {"build": 3, "closure": 1}.get(argv[0], 0)

@@ -36,6 +36,7 @@ from upcube.setcube import (
 from cube_strategies import biases, families, upset_pairs, upsets
 from oracles import (
     fam_to_set,
+    is_superset_point,
     naive_elements,
     naive_addable,
     naive_is_upward_closed,
@@ -433,6 +434,72 @@ class TestBlockedKernels:
                 weights, denom = level_weights(n, p)
                 mass = sum(w * (bits & lm).bit_count() for w, lm in zip(weights, level_masks(n)))
                 assert uc.measure(fam, p) == Fraction(mass, denom)
+
+
+@st.composite
+def point_lists(draw, n: int) -> list[int]:
+    """Point masks of Q_n that put 0, 1, a few, SPARSE, or more than SPARSE
+    points in one block (at the current BLOCK and SPARSE), with repeats, the
+    point {} (mask 0), and points containing another through a low or a top
+    coordinate; the empty list is in reach."""
+    w = min(n, setcube.BLOCK)
+    sizes = (0, 1, 3, setcube.SPARSE, setcube.SPARSE + 1, 3 * setcube.SPARSE)
+    blocks = draw(st.lists(st.integers(0, (1 << (n - w)) - 1), max_size=4, unique=True))
+    pts = []
+    for c in blocks:
+        k = draw(st.sampled_from(sizes))
+        pts += [c << w | i for i in draw(st.lists(st.integers(0, (1 << w) - 1), min_size=k, max_size=k))]
+    if pts and n:  # supersets one element up, repeats, and {}
+        for p in draw(st.lists(st.sampled_from(pts), max_size=4)):
+            pts.append(p | 1 << draw(st.integers(0, n - 1)))
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    if draw(st.booleans()):
+        pts.append(0)
+    return draw(st.permutations(pts))
+
+
+class TestPointKernels:
+    """close_points and minimal_points work from the listed points, block by
+    block: a block with at most SPARSE points point by point, a fuller one
+    by the coordinate loop."""
+
+    @given(st.data())
+    def test_match_family_kernels(self, data):
+        n = data.draw(st.sampled_from((3, 16, 17, 21, 24)))
+        pts = data.draw(point_lists(n))
+        closed = uc.close_points(n, pts)
+        want = uc.up_closure(uc.family_from_points(n, pts))
+        assert closed == want and closed.count == want.count
+        minimal = uc.minimal_points(closed, pts)
+        assert minimal == uc.minimal_elements(want)
+        assert minimal == sorted(naive_minimal(set(pts)), key=lambda m: (m.bit_count(), m))
+        # membership by the subset rule: at each point, one element below
+        # it, and at random points (the whole cube is too large above n = 3)
+        probes = set(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20)))
+        probes.update(p ^ 1 << j for p in pts for j in range(n) if p >> j & 1)
+        for x in probes | set(pts):
+            assert (x in closed) == any(is_superset_point(x, q) for q in pts)
+
+    @given(st.data())
+    def test_blocked_match_naive(self, data):
+        # BLOCK = 3 and SPARSE = 2: both paths, in blocks of 8 points, at
+        # sizes the naive oracles cover
+        n = data.draw(st.integers(0, 8))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setcube, "BLOCK", 3)
+            mp.setattr(setcube, "SPARSE", 2)
+            pts = data.draw(point_lists(n))
+            closed = uc.close_points(n, pts)
+            minimal = uc.minimal_points(closed, pts)
+            assert closed == uc.up_closure(uc.family_from_points(n, pts))
+        assert fam_to_set(closed) == naive_up_closure(n, set(pts))
+        assert minimal == sorted(naive_minimal(set(pts)), key=lambda m: (m.bit_count(), m))
+
+    @pytest.mark.parametrize("n", [3, 16, 17, 24])
+    def test_rejects_outside_points(self, n):
+        for bad in (-1, 1 << n, 1 << (n + 3)):
+            with pytest.raises(OutOfRange, match=f"point mask {bad} outside"):
+                uc.close_points(n, iter([0, bad, -2]))
 
 
 class TestBlockStorage:
