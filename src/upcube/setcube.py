@@ -18,6 +18,8 @@ block, and each top coordinate pairs whole blocks (block c, block c plus
 that coordinate).  `Family(n, bits)` splits its vector once, when built,
 and `Family.bits` joins the blocks on each read; no kernel does either,
 but `minimal_mask` and `addable_mask` return their result joined, as an int.
+The point-list kernels (`close_points`, `minimal_points`, and
+`family_from_points` above BLOCK) build only the blocks that hold a point.
 
 Measures and biases are `fractions.Fraction` values throughout; floats
 never enter any computation here.  A measure at bias a/b is one exact
