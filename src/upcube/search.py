@@ -15,14 +15,20 @@ it in O(1): the change follows from how many of the other two families
 hold each point and from its level weight.  The climb keeps the running
 score (and, for the min-part objective, the three part masses) and
 rescores only the final best triple in full, as an explicit cross-check.
-Until a move on a family is accepted, the climb reuses its addable mask
-and the removal mask of each point drawn from it, so the many rejected
-moves run no mask kernel.  The climb is capped at n = 16, where a family
-is a single block (see `setcube`), so it keeps each family as raw bits
-and calls the whole-vector leaves `_addable_block` and `_minimal_block`
-directly; `select_bit` is linear in the mask size.  With `stop_at`, the
-search, restarts included, ends at the first restart that reaches the
-value.
+Until a move on a family is accepted, the climb reuses its addable mask,
+its minimal mask and the removal mask of each point drawn from it, so the
+many rejected moves run no mask kernel.  A removal mask is the minimal
+mask with the drawn point's upper covers cleared (`_removal_mask`), so a
+family runs `_minimal_block` at most once per accepted move, not once per
+drawn point.  The climb is capped at n = 16, where a family is a single
+block (see `setcube`), so it keeps each family as raw bits and calls the
+whole-vector leaves `_addable_block` and `_minimal_block` directly.
+`select_bit` is linear in the mask size, so up to n = `LIST_MAX_N` a
+cached mask also lists its points and a draw indexes that list.  The
+three draws per iteration are `getrandbits` calls made exactly as
+`random.Random.randrange` makes them (`_below`, inlined), so a seed gives
+the same climb as through `randrange`.  With `stop_at`, the search,
+restarts included, ends at the first restart that reaches the value.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .setcube import (
     _minimal_block,
     check_bias,
     check_dim,
+    iter_bits,
     level_weights,
     measure,
     occupancy,
@@ -56,6 +63,12 @@ EXHAUSTIVE_MAX_N = 4
 # One restart's start-up (three random upsets trimmed to the count) took
 # 1.39 s, 5.14 s and 28.8 s at n = 15, 16, 17, about 5x per dimension.
 SEARCH_MAX_N = 16
+# Up to n = 6 a mask is one 64-bit word.  There the climb draws about 25
+# times from each cached mask before its family moves, so listing the mask's
+# points pays: at n = 5, four 2000-iteration climbs took 7.4 ms instead of
+# 11.0 ms (2 CPUs, CPython 3.11).  At n = 9 a mask serves 2 to 5 draws, and
+# listing each one made a 2000-iteration climb take 25.7 ms instead of 12.7.
+LIST_MAX_N = 6
 
 DEDEKIND = (2, 3, 6, 20, 168, 7581)
 
@@ -174,15 +187,52 @@ def check_search_dim(n: int) -> None:
         raise TooLarge(f"local search capped at n={SEARCH_MAX_N}, got {n}")
 
 
+def _below(getrandbits, k: int) -> int:
+    """rng.randrange(k) for an int k > 0, from rng.getrandbits: CPython draws
+    getrandbits(k.bit_length()) until the value is below k, so this makes
+    the same draws and leaves the generator in the same state."""
+    width = k.bit_length()
+    i = getrandbits(width)
+    while i >= k:
+        i = getrandbits(width)
+    return i
+
+
+def _removal_mask(minimal: int, a: int, n: int) -> int:
+    """The minimal points of bits | a other than a, from minimal = the
+    minimal mask of bits and an addable point a.  All upper covers of a are
+    members, so a member is minimal in bits | a iff it is minimal in bits
+    and no upper cover of a: at most n single-bit clears."""
+    absent = ~a & ((1 << n) - 1)
+    while absent:
+        low = absent & -absent
+        cover = a | low
+        if minimal >> cover & 1:
+            minimal ^= 1 << cover
+        absent ^= low
+    return minimal
+
+
+# (mask, its count, its points in ascending order or None)
+DrawTable = tuple[int, int, list[int] | None]
+
+
+def _draw_table(mask: int, n: int) -> DrawTable:
+    """A cached mask to draw points from.  At n <= LIST_MAX_N it also lists
+    the mask's points, so each draw from it is an index, not a select_bit."""
+    return mask, mask.bit_count(), list(iter_bits(mask)) if n <= LIST_MAX_N else None
+
+
 def _random_upset_with_count(n: int, count: int, rng: random.Random) -> int:
     """Membership bits of a seeded random upset with exactly `count` members."""
     bits = random_upset(n, rng).bits
+    getrandbits = rng.getrandbits
     while bits.bit_count() > count:
         mm = _minimal_block(bits, n, bits)
-        bits &= ~(1 << select_bit(mm, rng.randrange(mm.bit_count())))
+        bits &= ~(1 << select_bit(mm, _below(getrandbits, mm.bit_count())))
     while bits.bit_count() < count:
         am = _addable_block(bits, n)
-        bits |= 1 << select_bit(am, rng.randrange(am.bit_count()))
+        bits |= 1 << select_bit(am, _below(getrandbits, am.bit_count()))
     return bits
 
 
@@ -220,10 +270,11 @@ def local_search(
     weights = scorer.weights
     s1 = objective.kind == "s1_density"
     fams = [_random_upset_with_count(n, count, rng) for _ in range(3)]
-    # Per family until it moves: the addable mask, and per drawn point a the
-    # minimal points of bits | a other than a.
-    addable: list[int | None] = [None, None, None]
-    removable: list[dict[int, int]] = [{}, {}, {}]
+    # Per family until it moves: the _draw_table of its addable mask, its
+    # minimal mask, and per drawn point a the _draw_table of a's removal mask.
+    addable: list[DrawTable | None] = [None, None, None]
+    minimal: list[int | None] = [None, None, None]
+    removable: list[dict[int, DrawTable]] = [{}, {}, {}]
     parts = scorer.parts(*fams)
     cur = sum(parts) if s1 else min(parts)
     best_score, best_fams = cur, tuple(fams)
@@ -233,23 +284,38 @@ def local_search(
     else:
         stop_frac = Fraction(stop_at) * scorer.denom
         stop_score = -(-stop_frac.numerator // stop_frac.denominator)
+    # The three draws per iteration are _below(getrandbits, k), inlined.
+    getrandbits = rng.getrandbits
     it = 0
     while it < max_iters and best_score < stop_score:
         it += 1
-        f = rng.randrange(3)
+        f = getrandbits(2)
+        while f == 3:
+            f = getrandbits(2)
         bits = fams[f]
-        am = addable[f]
-        if am is None:
-            am = addable[f] = _addable_block(bits, n)
-        if not am:
+        add = addable[f]
+        if add is None:
+            add = addable[f] = _draw_table(_addable_block(bits, n), n)
+        am, k, pts = add
+        if not k:
             continue
-        a = select_bit(am, rng.randrange(am.bit_count()))
-        mm = removable[f].get(a)
-        if mm is None:
-            mm = removable[f][a] = _minimal_block(bits | 1 << a, n, bits)
-        if not mm:
+        i = getrandbits(k.bit_length())
+        while i >= k:
+            i = getrandbits(k.bit_length())
+        a = pts[i] if pts else select_bit(am, i)
+        rem = removable[f].get(a)
+        if rem is None:
+            mm = minimal[f]
+            if mm is None:
+                mm = minimal[f] = _minimal_block(bits, n, bits)
+            rem = removable[f][a] = _draw_table(_removal_mask(mm, a, n), n)
+        mm, k, pts = rem
+        if not k:
             continue
-        r = select_bit(mm, rng.randrange(mm.bit_count()))
+        i = getrandbits(k.bit_length())
+        while i >= k:
+            i = getrandbits(k.bit_length())
+        r = pts[i] if pts else select_bit(mm, i)
         # a joins family f and r leaves it; g = fams[f - 2] and h = fams[f - 1]
         # are the other two (negative indices wrap).
         g, h = fams[f - 2], fams[f - 1]
@@ -271,7 +337,7 @@ def local_search(
             s = min(new)
         if s >= cur:
             fams[f] = (bits | 1 << a) & ~(1 << r)
-            addable[f] = None
+            addable[f] = minimal[f] = None
             removable[f] = {}
             cur = s
             if not s1:

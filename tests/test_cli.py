@@ -449,6 +449,26 @@ class TestSearch:
         parts = [Fraction(s) for s in rep["results"]["part_measures"]]
         assert Fraction(rep["results"]["value"]) == min(parts)
 
+    def test_unequal_biased_measures_leave_the_bound_out(self, capsys):
+        # equal counts, but 1/5-measures 9/25, 177/625 and 177/625: the LP
+        # bound at rho (9/28, below s1 = 256/625) does not apply
+        code, rep = run_json(
+            capsys, "search", "--n", "4", "--rho", "3/4", "--p", "1/5",
+            "--restarts", "4", "--iters", "800",
+        )
+        assert code == 0
+        assert rep["results"]["s1"] == "256/625" and rep["results"]["bound_at_rho"] == "9/28"
+        assert rep["verdicts"] == {"families_upward_closed": True, "equal_counts": True}
+        assert rep["notes"] == ["s1_within_bound is left out: the LP bound needs a common p-measure"]
+
+    def test_equal_biased_measures_keep_the_bound(self, capsys):
+        # Q_1 at rho 1/2 has one upset of count 1, so all three 1/3-measures are 1/3
+        code, rep = run_json(
+            capsys, "search", "--n", "1", "--rho", "1/2", "--p", "1/3", "--iters", "10",
+        )
+        assert code == 0 and rep["verdicts"]["s1_within_bound"] is True
+        assert "notes" not in rep
+
     def test_bad_density(self, capsys):
         code, out, err = run(capsys, "search", "--n", "5", "--rho", "1/3")
         assert code == 2

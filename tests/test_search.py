@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from upcube.errors import (
     TooLarge,
 )
 from upcube.search import DEDEKIND, part_measures
+from upcube.setcube import _addable_block, _minimal_block, iter_bits
 
 
 class TestEnumeration:
@@ -202,6 +204,29 @@ class TestLocalSearch:
         assert [set(f) for f in (res.triple.x, res.triple.y, res.triple.z)] == fams
         assert (res.value, res.iterations, res.seed) == (value, iterations, seed)
 
+    # Past n = LIST_MAX_N = 6 a mask spans several 64-bit words (2 at n = 7,
+    # 8 at n = 9), and the climb draws through select_bit, not point lists.
+    @pytest.mark.parametrize(
+        "n, rho, kind, p, seed, stop_at",
+        [
+            (7, Fraction(1, 2), "s1_density", Fraction(1, 2), 0, None),
+            (7, Fraction(3, 8), "min_part_density", Fraction(3, 8), 1, None),
+            (9, Fraction(1, 2), "s1_density", Fraction(1, 3), 2, None),
+            (9, Fraction(1, 2), "min_part_density", Fraction(1, 2), 3, None),
+            (9, Fraction(1, 2), "s1_density", Fraction(1, 2), 2, Fraction(9, 32)),
+        ],
+    )
+    def test_matches_oracle_beyond_one_word(self, n, rho, kind, p, seed, stop_at):
+        res = uc.local_search(
+            n, rho, uc.SearchObjective(kind=kind, bias=p),
+            seed=seed, max_iters=200, stop_at=stop_at,
+        )
+        fams, value, iterations = naive_local_search(n, rho, kind, p, seed, 200, stop_at)
+        assert [set(f) for f in (res.triple.x, res.triple.y, res.triple.z)] == fams
+        assert (res.value, res.iterations) == (value, iterations)
+        if stop_at is not None:
+            assert value >= stop_at and iterations < 200
+
     def test_size_checked_before_allocation(self, monkeypatch):
         def refuse(n):
             raise AssertionError(f"mask table for n={n} requested")
@@ -251,6 +276,32 @@ class TestLocalSearch:
             [sys.executable, "-O", "-c", code], env={"PYTHONPATH": src}, capture_output=True
         )
         assert proc.returncode == 7, proc.stderr
+
+
+class TestClimbKernels:
+    """The climb's draws and removal masks, against what they replace."""
+
+    KS = [*range(1, 4097), *(2**j + d for j in range(1, 17) for d in (-1, 0, 1))]
+
+    def test_below_draws_as_randrange(self):
+        # a CPython change to randrange would move every search digest
+        mine, ref = random.Random(2024), random.Random(2024)
+        for k in self.KS:
+            assert [search_mod._below(mine.getrandbits, k) for _ in range(3)] == [
+                ref.randrange(k) for _ in range(3)
+            ]
+            assert mine.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_removal_mask_is_minimal_mask_of_grown_family(self, n):
+        rng = random.Random(n)
+        for _ in range(12):
+            bits = uc.random_upset(n, rng).bits
+            minimal = _minimal_block(bits, n, bits)
+            for a in iter_bits(_addable_block(bits, n)):
+                assert search_mod._removal_mask(minimal, a, n) == _minimal_block(
+                    bits | 1 << a, n, bits
+                )
 
 
 class TestRestarts:
