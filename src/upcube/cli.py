@@ -16,6 +16,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 from . import bounds, constructions, lift, posets, search
@@ -49,11 +50,11 @@ def dec10(x: Fraction | int) -> str:
 
 
 # The most work one call may ask for, in steps: a point of a random upset
-# (hk-random: trials x 2^n), a hill-climb iteration (search: restarts x
-# (iters + start-up), --stop-at or not, since a --stop-at that no restart
-# reaches ends none of them), or a hundredth of a report row (bound --sweep,
-# qcurve), since a row holds exact rationals and their decimals.  Checked
-# before any of the work starts.
+# (hk-random: trials x 2^n), a hill-climb iteration at n <= 5 (search:
+# restarts x (iters x steps per iteration + start-up), --stop-at or not,
+# since a --stop-at that no restart reaches ends none of them), or a
+# hundredth of a report row (bound --sweep, qcurve), since a row holds exact
+# rationals and their decimals.  Checked before any of the work starts.
 WORK_BUDGET = 10**7
 ROW_STEPS = 100
 
@@ -159,20 +160,22 @@ def _verify_q21(args) -> tuple[dict, int]:
 
 
 def _q21_report(verb: str, rep: lift.LiftReport, triple, files) -> tuple[dict, int]:
-    total = 1 << rep.n
+    total = 1 << triple.n
+    counts = [triple.x.count, triple.y.count, triple.z.count]
+    deficit = rep.target - rep.z_pre_count
     s1_count = rep.profile.counts[1]
     ceiling = Fraction(rep.z_pre_count + rep.pool_count, total)
     results = {
         "m": rep.m,
         "b": rep.b,
-        "n": rep.n,
+        "n": triple.n,
         "gadget_bias": rat(rep.bias),
-        "counts": [rep.x_count, rep.y_count, rep.z_post_count],
+        "counts": counts,
         "z_pre_count": rep.z_pre_count,
         "z_pre_measure": rat(Fraction(rep.z_pre_count, total)),
         "z_pre_measure_dec": dec10(Fraction(rep.z_pre_count, total)),
         "pool_count": rep.pool_count,
-        "deficit": rep.deficit,
+        "deficit": deficit,
         "pool_ceiling_measure": rat(ceiling),
         "pool_ceiling_measure_dec": dec10(ceiling),
         "target": rep.target,
@@ -185,8 +188,8 @@ def _q21_report(verb: str, rep: lift.LiftReport, triple, files) -> tuple[dict, i
     if files:
         results["files"] = files
     verdicts = {
-        "counts_match_target": rep.x_count == rep.y_count == rep.z_post_count == rep.target,
-        "deficit_within_pool": 0 <= rep.deficit <= rep.pool_count,
+        "counts_match_target": counts == [rep.target] * 3,
+        "deficit_within_pool": 0 <= deficit <= rep.pool_count,
         "ceiling_exceeds_target_density": ceiling > Fraction(rep.target, total),
         "s1_exceeds_4_9": 9 * s1_count > 4 * total,
     }
@@ -354,14 +357,16 @@ def _cmd_search(args) -> tuple[dict, int]:
     kind = {"s1": "s1_density", "min-part": "min_part_density"}[args.objective]
     objective = search.SearchObjective(kind=kind, bias=args.p)
     search.check_search_dim(args.n)
-    # One restart's start-up, in steps of about 1.3 us (2 CPUs, CPython
-    # 3.11): it measured 0.09 ms, 1.41 ms, 42 ms, 0.63 s and 8.8 s at n = 5,
-    # 9, 12, 14, 16, at most 2.1x the formula.  An iteration is one step at
-    # every n, though it took 0.7, 4, 13 and 81 us at n = 5, 9, 12, 14.
+    # A restart's start-up and a climb iteration, in steps of about 1.3 us
+    # (2 CPUs, CPython 3.11).  At n = 5, 9, 12, 14, 16 the start-up took
+    # 0.09 ms, 1.41 ms, 42 ms, 0.63 s and 8.8 s (at most 2.1x the formula)
+    # and an iteration at most 2.4, 9.8, 28, 84 and 318 us (1, 8, 33, 93
+    # and 289 steps): select_bit and the masks are linear in 2^n.
     startup = (1 << args.n) + (1 << 2 * args.n) // 1024
+    iter_steps = max(1, isqrt(1 << args.n) // 3 + (1 << args.n) // 320)
     _check_work(
-        f"--restarts {args.restarts} x (--iters {args.iters} + {startup} start-up)",
-        args.restarts * (args.iters + startup),
+        f"--restarts {args.restarts} x (--iters {args.iters} x {iter_steps} + {startup} start-up)",
+        args.restarts * (args.iters * iter_steps + startup),
     )
     seeds = range(args.seed, args.seed + args.restarts)
     result = search.best_of_restarts(

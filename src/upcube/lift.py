@@ -177,30 +177,17 @@ def topup_to_count(z0: Family, pool: Family, target: int) -> Family:
 
 @dataclass(frozen=True)
 class LiftReport:
-    """Exact bookkeeping of a lift-and-top-up build."""
+    """What a lift-and-top-up build knows beyond its triple: the base
+    dimension, gadget width and bias, Z's count before the top-up, the
+    pool it drew from, the target count and the occupancy profile."""
 
     m: int
     b: int
-    n: int
     bias: Fraction
-    x_count: int
-    y_count: int
     z_pre_count: int
     pool_count: int
     target: int
-    deficit: int
-    z_post_count: int
     profile: OccupancyProfile
-
-    def __post_init__(self) -> None:
-        if self.n != self.b * self.m:
-            raise InvariantViolation(f"lifted dimension {self.n} != {self.b} * {self.m}")
-        if not self.deficit == self.target - self.z_pre_count >= 0:
-            raise InvariantViolation(
-                f"deficit {self.deficit} != target {self.target} - z_pre {self.z_pre_count} >= 0"
-            )
-        if self.pool_count < self.deficit:
-            raise InvariantViolation(f"pool {self.pool_count} cannot cover deficit {self.deficit}")
 
 
 def build_q21() -> tuple[TripleSystem, LiftReport]:
@@ -226,20 +213,6 @@ def build_q21() -> tuple[TripleSystem, LiftReport]:
         raise InvariantViolation(f"target count {target_density} is not an integer")
     target = target_density.numerator
     z1 = topup_to_count(z0, pool, target)
-    triple = TripleSystem(x, y, z1, label="q21")
     profile = occupancy(x, y, z1, Fraction(1, 2))
-    report = LiftReport(
-        m=base.n,
-        b=g.b,
-        n=x.n,
-        bias=bias,
-        x_count=x.count,
-        y_count=y.count,
-        z_pre_count=z0.count,
-        pool_count=pool.count,
-        target=target,
-        deficit=target - z0.count,
-        z_post_count=z1.count,
-        profile=profile,
-    )
-    return triple, report
+    report = LiftReport(base.n, g.b, bias, z0.count, pool.count, target, profile)
+    return TripleSystem(x, y, z1, label="q21"), report

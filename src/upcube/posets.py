@@ -1,8 +1,9 @@
 """Finite weighted posets: upset enumeration, correlation scans, occupancy.
 
 Elements are labeled; the strict order is stored transitively closed as
-index pairs.  Upsets are bitmasks over element indices, so the same
-bit-twiddling style as the cube module applies at miniature scale.
+one bitmask per element, of the elements above it.  Upsets are bitmasks
+over element indices, so the same bit-twiddling style as the cube module
+applies at miniature scale.
 Weights are exact rationals summing to 1 — a probability measure on the
 poset's points.
 """
@@ -10,6 +11,7 @@ poset's points.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -25,13 +27,14 @@ class WeightedPoset:
     """Labeled poset with a rational weight per element.
 
     `covers` may be any generating set of relations; the constructor
-    stores the transitive closure in `less` and rejects cycles.
+    stores the transitive closure in `above`, where `above[i]` masks the
+    elements strictly above element i, and rejects cycles.
     """
 
     elements: tuple[str, ...]
     covers: tuple[tuple[str, str], ...]
     weights: tuple[Fraction, ...]
-    less: frozenset[tuple[int, int]] = field(init=False)
+    above: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         idx = {e: i for i, e in enumerate(self.elements)}
@@ -44,41 +47,31 @@ class WeightedPoset:
         if sum(self.weights) != 1:
             raise InvalidParams("weights must sum to 1 exactly")
         k = len(self.elements)
-        below = [0] * k  # below[j] has bit i set iff i < j
+        above = [0] * k
         for x, y in self.covers:
             if x not in idx or y not in idx:
                 raise InvalidParams(f"cover ({x!r}, {y!r}) names unknown element")
-            below[idx[y]] |= 1 << idx[x]
+            above[idx[x]] |= 1 << idx[y]
         changed = True
         while changed:
             changed = False
-            for j in range(k):
-                merged = below[j]
-                for i in iter_bits(below[j]):
-                    merged |= below[i]
-                if merged != below[j]:
-                    below[j] = merged
+            for i in range(k):
+                merged = above[i]
+                for j in iter_bits(above[i]):
+                    merged |= above[j]
+                if merged != above[i]:
+                    above[i] = merged
                     changed = True
-        pairs = set()
-        for j in range(k):
-            if below[j] >> j & 1:
-                raise InvalidParams(f"order relation has a cycle through {self.elements[j]!r}")
-            pairs.update((i, j) for i in iter_bits(below[j]))
-        object.__setattr__(self, "less", frozenset(pairs))
+        for i in range(k):
+            if above[i] >> i & 1:
+                raise InvalidParams(f"order relation has a cycle through {self.elements[i]!r}")
+        object.__setattr__(self, "above", tuple(above))
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def up_bits(self, i: int) -> int:
-        """Bitmask of elements strictly above element i."""
-        out = 0
-        for a, b in self.less:
-            if a == i:
-                out |= 1 << b
-        return out
-
     def is_upset(self, mask: int) -> bool:
-        return all(not (mask >> i & 1) or (mask >> j & 1) for i, j in self.less)
+        return not any(mask >> i & 1 and up & ~mask for i, up in enumerate(self.above))
 
     def weight_of(self, mask: int) -> Fraction:
         return sum((self.weights[i] for i in iter_bits(mask)), Fraction(0))
@@ -87,7 +80,7 @@ class WeightedPoset:
         return tuple(self.elements[i] for i in iter_bits(mask))
 
 
-def _grow_upsets(order: list[int], above: list[int]) -> list[int]:
+def _grow_upsets(order: list[int], above: Sequence[int]) -> list[int]:
     """Every upset as a bitmask over element indices, in backtracking order.
 
     `order` lists the elements top-down (each after everything above it)
@@ -118,15 +111,14 @@ def enumerate_upsets(poset: WeightedPoset) -> list[int]:
     k = len(poset)
     if k > MAX_POSET:
         raise TooLarge(f"poset has {k} elements, limit {MAX_POSET}")
-    ups = [poset.up_bits(i) for i in range(k)]
+    above = poset.above
     placed: list[int] = []
-    remaining = set(range(k))
-    while remaining:
-        ready = [i for i in remaining if not (ups[i] & sum(1 << j for j in remaining))]
-        nxt = min(ready)
+    rest = (1 << k) - 1
+    while rest:
+        nxt = min(i for i in iter_bits(rest) if not above[i] & rest)
         placed.append(nxt)
-        remaining.remove(nxt)
-    return sorted(_grow_upsets(placed, ups), key=lambda m: (m.bit_count(), m))
+        rest ^= 1 << nxt
+    return sorted(_grow_upsets(placed, above), key=lambda m: (m.bit_count(), m))
 
 
 def diamond_poset(p: Fraction | int | str) -> WeightedPoset:
@@ -187,8 +179,11 @@ def poset_occupancy(
 
 def poset_from_json(data: dict) -> WeightedPoset:
     try:
+        elements = tuple(data["elements"])
+        if len(elements) > MAX_POSET:  # before the O(k^3) order closure
+            raise TooLarge(f"poset has {len(elements)} elements, limit {MAX_POSET}")
         return WeightedPoset(
-            elements=tuple(data["elements"]),
+            elements=elements,
             covers=tuple((x, y) for x, y in data["covers"]),
             weights=tuple(Fraction(w) for w in data["weights"]),
         )

@@ -473,7 +473,8 @@ def _close_across(n: int, blocks: list[int]) -> Family:
 
 
 def _close_block(bits: int, n: int) -> int:
-    """up_closure's loop over all n coordinates of a 2^n-bit vector."""
+    """up_closure's loop over all n coordinates of a 2^n-bit vector; a
+    vector is closed iff this returns it unchanged."""
     for i, absent in enumerate(absent_masks(n)):
         bits |= (bits & absent) << (1 << i)
     return bits
@@ -484,24 +485,17 @@ def is_upward_closed(fam: Family) -> bool:
 
     The verdict is cached on the immutable family, as `count` is, so the
     constructors, the CLI verdicts and minimal_elements share one check.
-    Each distinct block is checked once: equal blocks give equal verdicts,
-    and a lifted family repeats a few blocks many times.
+    A block is closed iff `_close_block` leaves it unchanged; each distinct
+    block is checked once, since a lifted family repeats a few blocks many
+    times.  Across blocks, each must lie inside its upper neighbours.
     """
     if fam._upward_closed is None:
         n, w = fam.n, _width(fam.n)
         blocks = fam._blocks
-        fam._upward_closed = all(_closed_block(blk, w) for blk in dict.fromkeys(blocks)) and all(
-            blocks[lo] & blocks[hi] == blocks[lo] for lo, hi in _pairs(n - w)
-        )
+        fam._upward_closed = all(
+            _close_block(blk, w) == blk for blk in dict.fromkeys(blocks)
+        ) and all(blocks[lo] & blocks[hi] == blocks[lo] for lo, hi in _pairs(n - w))
     return fam._upward_closed
-
-
-def _closed_block(bits: int, n: int) -> bool:
-    """is_upward_closed's loop over all n coordinates of a 2^n-bit vector."""
-    outside = full_mask(n) ^ bits
-    return not any(
-        ((bits & absent) << (1 << i)) & outside for i, absent in enumerate(absent_masks(n))
-    )
 
 
 def minimal_mask(fam: Family) -> int:

@@ -78,14 +78,14 @@ def test_criterion_3_q21_counterexample(announce):
         triple, rep = uc.build_q21()
         elapsed = time.perf_counter() - t0
         total = 1 << 21
-        assert rep.x_count == rep.y_count == rep.z_post_count == 786432
+        assert triple.x.count == triple.y.count == triple.z.count == 786432
         z_pre = Fraction(rep.z_pre_count, total)
         assert z_pre == Fraction(678402, 2097152)
         assert Fraction(323, 1000) <= z_pre < Fraction(324, 1000)
         ceiling = Fraction(rep.z_pre_count + rep.pool_count, total)
         assert ceiling == Fraction(790902, 2097152)
         assert Fraction(377, 1000) <= ceiling < Fraction(378, 1000)
-        assert rep.deficit == 108030 <= 112500 == rep.pool_count
+        assert rep.target - rep.z_pre_count == 108030 <= 112500 == rep.pool_count
         s1_count = rep.profile.counts[1]
         assert s1_count == 937950
         assert 9 * s1_count == 8441550 > 8388608 == 4 * total

@@ -62,13 +62,45 @@ class TestVerify:
     def test_q21(self, capsys):
         code, rep = run_json(capsys, "verify", "q21")
         assert code == 0
-        r = rep["results"]
-        assert r["counts"] == [786432, 786432, 786432]
-        assert r["s1_count"] == 937950
-        assert r["z_pre_count"] == 678402
-        assert r["deficit"] == 108030
-        assert r["pool_ceiling_measure"] == "395451/1048576"  # 790902/2^21 reduced
-        assert rep["verdicts"]["s1_exceeds_4_9"] is True
+        # the whole report, keys in order
+        results = {
+            "m": 7,
+            "b": 3,
+            "n": 21,
+            "gadget_bias": "3/8",
+            "counts": [786432, 786432, 786432],
+            "z_pre_count": 678402,
+            "z_pre_measure": "339201/1048576",
+            "z_pre_measure_dec": "0.3234872818",
+            "pool_count": 112500,
+            "deficit": 108030,
+            "pool_ceiling_measure": "395451/1048576",  # 790902/2^21 reduced
+            "pool_ceiling_measure_dec": "0.3771314621",
+            "target": 786432,
+            "occupancy": {
+                "counts": [593750, 937950, 275010, 290442],
+                "densities": [
+                    "296875/1048576",
+                    "468975/1048576",
+                    "137505/1048576",
+                    "145221/1048576",
+                ],
+                "densities_dec": ["0.2831220627", "0.4472494125", "0.1311349869", "0.1384935379"],
+                "bias": "1/2",
+            },
+            "s1_count": 937950,
+            "s1": "468975/1048576",
+            "s1_dec": "0.4472494125",
+            "integer_cross_check": "9*937950 = 8441550 vs 4*2097152 = 8388608",
+        }
+        verdicts = {
+            "counts_match_target": True,
+            "deficit_within_pool": True,
+            "ceiling_exceeds_target_density": True,
+            "s1_exceeds_4_9": True,
+        }
+        assert list(rep["results"].items()) == list(results.items())
+        assert list(rep["verdicts"].items()) == list(verdicts.items())
         assert code == 0
 
 
@@ -582,6 +614,7 @@ class TestWorkBudget:
         monkeypatch.setattr(cli.bounds, "s1_upper_bound", refuse)
         monkeypatch.setattr(cli.constructions, "qcurve", refuse)
         monkeypatch.setattr(cli.search, "best_of_restarts", refuse)
+        monkeypatch.setattr(cli.posets, "WeightedPoset", refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -598,6 +631,8 @@ class TestWorkBudget:
             ("search", "--n", "5", "--rho", "1/2", "--restarts", str(10**9), "--stop-at", "13/32"),
             ("search", "--n", "5", "--rho", "1/2", "--restarts", str(10**9), "--stop-at", "1",
              "--iters", "1"),
+            # 9000000 x 93 steps per iteration at n = 14, once charged 9000000
+            ("search", "--n", "14", "--rho", "1/2", "--iters", "9000000"),
             # start-up alone: 2^16 + 4^16/1024 = 4259840 steps per restart
             ("search", "--n", "16", "--rho", "1/2", "--restarts", "3", "--iters", "0"),
             # a qcurve row costs n^2 steps once that exceeds ROW_STEPS
@@ -624,6 +659,17 @@ class TestWorkBudget:
     def test_within_budget_starts_work(self, capsys, no_work, argv):
         with pytest.raises(RuntimeError, match="work started"):
             main(list(argv))
+
+    def test_poset_file_size_checked_before_the_order(self, capsys, no_work, tmp_path):
+        k = cli.posets.MAX_POSET + 1
+        path = tmp_path / "big.json"
+        labels = [f"e{i}" for i in range(k)]
+        covers = [[labels[i + 1], labels[i]] for i in range(k - 1)]
+        data = {"elements": labels, "covers": covers, "weights": [f"1/{k}"] * k}
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "poset", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: poset has {k} elements, limit {k - 1}\n"
 
 
 class TestPlumbing:

@@ -345,9 +345,9 @@ class TestBlockedKernels:
     def test_is_upward_closed_checks_each_distinct_block_once(self, monkeypatch, blocks, closed):
         monkeypatch.setattr(setcube, "BLOCK", 3)
         checked = []
-        leaf = setcube._closed_block
+        leaf = setcube._close_block
         monkeypatch.setattr(
-            setcube, "_closed_block", lambda bits, n: checked.append(bits) or leaf(bits, n)
+            setcube, "_close_block", lambda bits, n: checked.append(bits) or leaf(bits, n)
         )
         fam = setcube.Family._of_blocks(5, blocks)
         pts = {c << 3 | i for c, blk in enumerate(blocks) for i in range(8) if blk >> i & 1}
@@ -427,7 +427,7 @@ class TestBlockedKernels:
         for bits in (0, rng.getrandbits(1 << n), sparse, closed, broken, full_mask(n)):
             fam = uc.Family(n, bits)
             assert uc.up_closure(fam).bits == setcube._close_block(bits, n)
-            assert uc.is_upward_closed(fam) == setcube._closed_block(bits, n)
+            assert uc.is_upward_closed(fam) == (setcube._close_block(bits, n) == bits)
             assert uc.minimal_mask(fam) == setcube._minimal_block(bits, n, bits)
             assert uc.addable_mask(fam) == setcube._addable_block(bits, n)
             for p in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 8)):
