@@ -4,8 +4,8 @@ For three upward closed families of common density rho, the occupancy
 profile (s_0..s_3) obeys two exact linear equalities (total mass, first
 moment) and two correlation inequalities; maximizing s_1 over that
 polytope gives the closed form 3*rho*(1-rho)/(1+rho).  Everything here
-is solved in Fractions by enumerating basic solutions — four variables
-never justify a real LP solver.
+is solved in Fractions by enumerating the vertices of the polytope's 2-D
+face — four variables never justify a real LP solver.
 """
 
 from __future__ import annotations
@@ -52,23 +52,6 @@ def s1_upper_bound(rho: Fraction | int | str) -> Fraction:
     return 3 * rho * (1 - rho) / (1 + rho)
 
 
-def _solve4(rows: list[tuple[Fraction, ...]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Unique solution of a 4x4 rational system, or None if singular."""
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(4):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][4] for r in range(4)]
-
-
 @dataclass(frozen=True)
 class LPSolution:
     """Optimal profile, objective value s_1, and the binding constraints."""
@@ -82,28 +65,31 @@ class LPSolution:
 def lp_max_s1(rho: Fraction | int | str) -> LPSolution:
     """Exact maximum of s_1 over feasible profiles at common density rho.
 
-    Every optimum of a bounded 4-variable LP with 2 equalities sits at a
-    basic point where 2 of the 6 inequalities bind; all C(6,2) candidate
-    bases are solved and the feasible best kept.
+    The two equalities fix s0 = 1 - 3rho + s2 + 2s3 and s1 = 3rho - 2s2 -
+    3s3, so the polytope lives on the (s2, s3) plane, where each of the six
+    inequalities is a line a*s2 + b*s3 + c >= 0.  Every optimum sits at a
+    vertex where two of those lines cross: all C(6,2) pairs are solved by
+    Cramer's rule and the feasible best kept.
     """
     rho = check_bias(rho)
     if not 0 < rho < 1:
         raise InvalidBias(f"need 0 < rho < 1, got {rho}")
     ineqs = _constraint_rows(rho)
-    eq_rows = [
-        (Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
-        (Fraction(0), Fraction(1), Fraction(2), Fraction(3)),
+    lines = [  # row . (1 - 3rho + s2 + 2s3, 3rho - 2s2 - 3s3, s2, s3) = a*s2 + b*s3 + c
+        (r0 - 2 * r1 + r2, 2 * r0 - 3 * r1 + r3, r0 * (1 - 3 * rho) + r1 * 3 * rho)
+        for _, (r0, r1, r2, r3) in ineqs
     ]
-    rhs = [Fraction(1), 3 * rho, Fraction(0), Fraction(0)]
     best: tuple[Fraction, Profile] | None = None
-    for i, j in combinations(range(len(ineqs)), 2):
-        sol = _solve4(eq_rows + [ineqs[i][1], ineqs[j][1]], rhs)
-        if sol is None:
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0:
             continue
+        s2, s3 = (b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det
+        sol = (1 - 3 * rho + s2 + 2 * s3, 3 * rho - 2 * s2 - 3 * s3, s2, s3)
         if any(sum(c * v for c, v in zip(row, sol)) < 0 for _, row in ineqs):
             continue
         if best is None or sol[1] > best[0]:
-            best = (sol[1], tuple(sol))
+            best = (sol[1], sol)
     if best is None:
         raise InvariantViolation(f"no feasible basic point at rho {rho}: the polytope is empty")
     value, profile = best

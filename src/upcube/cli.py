@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 from pathlib import Path
 
 from . import bounds, constructions, lift, posets, search
@@ -52,9 +52,10 @@ def dec10(x: Fraction | int) -> str:
 # The most work one call may ask for, in steps: a point of a random upset
 # (hk-random: trials x 2^n), a hill-climb iteration at n <= 5 (search:
 # restarts x (iters x steps per iteration + start-up), --stop-at or not,
-# since a --stop-at that no restart reaches ends none of them), or a
+# since a --stop-at that no restart reaches ends none of them), a
 # hundredth of a report row (bound --sweep, qcurve), since a row holds exact
-# rationals and their decimals.  Checked before any of the work starts.
+# rationals and their decimals, or about a microsecond of a poset scan or of the
+# maximizer's ternary search.  Checked before any of the work starts.
 WORK_BUDGET = 10**7
 ROW_STEPS = 100
 
@@ -253,6 +254,13 @@ def _cmd_bound(args) -> tuple[dict, int]:
         return _report("bound", {"sweep": args.sweep}, {"rows": rows}, {})
     if args.rho is None:
         raise InvalidParams("bound needs --rho or --sweep")
+    if args.maximize_tol is not None:
+        # r rounds cut the bracket to (2/3)^r <= tol/2; round i's Fractions
+        # hold about i*log2(3) bits, so the search costs about r^3 / 2^14 steps
+        tol = args.maximize_tol
+        bits = tol.denominator.bit_length() - tol.numerator.bit_length() + 1
+        rounds = int(max(bits, 0) / log2(3 / 2))
+        _check_work(f"--maximize-tol ({rounds} rounds)", rounds**3 >> 14)
     v = bounds.s1_upper_bound(args.rho)
     results = {"bound": rat(v), "bound_dec": dec10(v)}
     if args.maximize_tol is not None:
@@ -432,7 +440,9 @@ def _cmd_poset(args) -> tuple[dict, int]:
     else:
         raise InvalidParams("poset needs --diamond or --file")
     upsets = posets.enumerate_upsets(poset)
-    min_defect, (u, v) = posets.poset_hk_scan(poset)
+    m = len(upsets)  # the scan costs about 1.3 us per element per pair at k = 10
+    _check_work(f"a scan of {m} upsets", m * (m + 1) // 2 * len(poset))
+    min_defect, (u, v) = posets.poset_hk_scan(poset, upsets)
     results = {
         "elements": list(poset.elements),
         "weights": [rat(w) for w in poset.weights],
@@ -446,26 +456,18 @@ def _cmd_poset(args) -> tuple[dict, int]:
     if args.diamond:
         p = Fraction(args.p)
         idx = {e: i for i, e in enumerate(poset.elements)}
-        pair_defect = posets.poset_hk_defect(
-            poset,
-            1 << idx["A"] | 1 << idx["p1"] | 1 << idx["p2"],
-            1 << idx["A"] | 1 << idx["p1"] | 1 << idx["p3"],
-        )
-        two_masks = [1 << idx["A"] | 1 << idx[f"p{i}"] for i in (1, 2, 3)]
+        top, mids = 1 << idx["A"], [1 << idx[f"p{i}"] for i in (1, 2, 3)]
+        two_masks = [top | mid for mid in mids]
+        three_masks = [top | (sum(mids) ^ mid) for mid in mids]  # {A, p_j: j != i}
+        pair_defect = posets.poset_hk_defect(poset, three_masks[2], three_masks[1])
         prof2 = posets.poset_occupancy(poset, *two_masks)
-        three_masks = [
-            (1 << idx["A"]) | sum(1 << idx[f"p{j}"] for j in (1, 2, 3) if j != i)
-            for i in (1, 2, 3)
-        ]
         prof3 = posets.poset_occupancy(poset, *three_masks)
         lp_profile = bounds.optimal_profile(p)
         results["size3_pair_defect"] = rat(pair_defect)
         results["two_element_triple_occupancy"] = [rat(s) for s in prof2]
         results["three_element_triple_occupancy"] = [rat(s) for s in prof3]
         results["lp_optimal_profile"] = [rat(s) for s in lp_profile]
-        verdicts["size3_pair_defect_formula"] = (
-            pair_defect == p * (1 - p) ** 2 / (1 + p) ** 2
-        )
+        verdicts["size3_pair_defect_formula"] = pair_defect == p * (1 - p) ** 2 / (1 + p) ** 2
         verdicts["two_element_triple_matches_lp"] = prof2 == lp_profile
         notes = [
             "the three two-element upsets {A,p_i} each have weight exactly p and realize "

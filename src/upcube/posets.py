@@ -14,6 +14,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .setcube import check_bias, iter_bits
@@ -27,8 +28,8 @@ class WeightedPoset:
     """Labeled poset with a rational weight per element.
 
     `covers` may be any generating set of relations; the constructor
-    stores the transitive closure in `above`, where `above[i]` masks the
-    elements strictly above element i, and rejects cycles.
+    closes them in one Warshall pass into `above`, where `above[i]` masks
+    the elements strictly above element i, and rejects cycles.
     """
 
     elements: tuple[str, ...]
@@ -52,16 +53,10 @@ class WeightedPoset:
             if x not in idx or y not in idx:
                 raise InvalidParams(f"cover ({x!r}, {y!r}) names unknown element")
             above[idx[x]] |= 1 << idx[y]
-        changed = True
-        while changed:
-            changed = False
+        for j in range(k):  # Warshall: step j adds the paths through j
             for i in range(k):
-                merged = above[i]
-                for j in iter_bits(above[i]):
-                    merged |= above[j]
-                if merged != above[i]:
-                    above[i] = merged
-                    changed = True
+                if above[i] >> j & 1:
+                    above[i] |= above[j]
         for i in range(k):
             if above[i] >> i & 1:
                 raise InvalidParams(f"order relation has a cycle through {self.elements[i]!r}")
@@ -106,19 +101,15 @@ def _grow_upsets(order: list[int], above: Sequence[int]) -> list[int]:
 def enumerate_upsets(poset: WeightedPoset) -> list[int]:
     """All upward closed subsets as bitmasks, sorted by (size, mask).
 
-    Backtracks over a deterministic top-down linear extension.
+    Backtracks over the elements in ascending order of how many lie above
+    them: a top-down order, since everything above i has fewer above it.
     """
     k = len(poset)
     if k > MAX_POSET:
         raise TooLarge(f"poset has {k} elements, limit {MAX_POSET}")
     above = poset.above
-    placed: list[int] = []
-    rest = (1 << k) - 1
-    while rest:
-        nxt = min(i for i in iter_bits(rest) if not above[i] & rest)
-        placed.append(nxt)
-        rest ^= 1 << nxt
-    return sorted(_grow_upsets(placed, above), key=lambda m: (m.bit_count(), m))
+    order = sorted(range(k), key=lambda i: above[i].bit_count())
+    return sorted(_grow_upsets(order, above), key=lambda m: (m.bit_count(), m))
 
 
 def diamond_poset(p: Fraction | int | str) -> WeightedPoset:
@@ -150,13 +141,19 @@ def poset_hk_defect(poset: WeightedPoset, u: int, v: int) -> Fraction:
     return poset.weight_of(u & v) - poset.weight_of(u) * poset.weight_of(v)
 
 
-def poset_hk_scan(poset: WeightedPoset) -> tuple[Fraction, tuple[int, int]]:
-    """Minimum correlation defect over all ordered pairs of upsets, with witness."""
-    upsets = enumerate_upsets(poset)
-    weighted = [(u, poset.weight_of(u)) for u in upsets]
-    # min keeps the first pair with the least defect
+def poset_hk_scan(
+    poset: WeightedPoset, upsets: Sequence[int] | None = None
+) -> tuple[Fraction, tuple[int, int]]:
+    """Minimum correlation defect over all ordered pairs of upsets, with witness.
+
+    `upsets` defaults to `enumerate_upsets(poset)`.  The defect is symmetric,
+    so only pairs (u, v) with v at or after u are scanned.
+    """
+    weighted = [(u, poset.weight_of(u)) for u in upsets or enumerate_upsets(poset)]
+    pairs = combinations_with_replacement(weighted, 2)
+    # min keeps the first pair with the least defect, which has u at or before v
     return min(
-        ((poset.weight_of(u & v) - wu * wv, (u, v)) for u, wu in weighted for v, wv in weighted),
+        ((poset.weight_of(u & v) - wu * wv, (u, v)) for (u, wu), (v, wv) in pairs),
         key=lambda pair: pair[0],
     )
 
@@ -180,7 +177,7 @@ def poset_occupancy(
 def poset_from_json(data: dict) -> WeightedPoset:
     try:
         elements = tuple(data["elements"])
-        if len(elements) > MAX_POSET:  # before the O(k^3) order closure
+        if len(elements) > MAX_POSET:  # before the order closure
             raise TooLarge(f"poset has {len(elements)} elements, limit {MAX_POSET}")
         return WeightedPoset(
             elements=elements,

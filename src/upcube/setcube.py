@@ -213,7 +213,7 @@ class Family:
         return self._count
 
     def __repr__(self) -> str:
-        return f"Family(n={self._n}, bits={self.bits})"
+        return f"Family(n={self._n}, bits={self.bits:#x})"  # hex has no digit limit
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Family):

@@ -73,6 +73,22 @@ def naive_upsets_qn(n: int) -> list[set[int]]:
     return out
 
 
+def naive_reachable(k: int, covers: list[tuple[int, int]]) -> list[set[int]]:
+    """For each element i of 0..k-1, every j reached from i by one or more
+    cover steps (i, j), found by a depth-first walk from i."""
+    out = []
+    for i in range(k):
+        seen: set[int] = set()
+        todo = [j for x, j in covers if x == i]
+        while todo:
+            j = todo.pop()
+            if j not in seen:
+                seen.add(j)
+                todo.extend(y for x, y in covers if x == j)
+        out.append(seen)
+    return out
+
+
 def naive_no_member_below(n: int, pts: set[int]) -> set[int]:
     """Members with no member one element below them (any family)."""
     return {m for m in pts if not any(m >> j & 1 and m ^ 1 << j in pts for j in range(n))}

@@ -81,6 +81,24 @@ class TestLP:
         assert sol.profile == (Fraction(1, 6), Fraction(1, 2), Fraction(0), Fraction(1, 3))
         assert set(sol.tight) == {"s2_nonneg", "hk_bottom"}
 
+    @pytest.mark.parametrize(
+        "rho, profile, objective",
+        [
+            ("1/64", ("3969/4160", "189/4160", "0", "1/2080"), "189/4160"),
+            ("1/3", ("1/3", "1/2", "0", "1/6"), "1/2"),
+            ("3/8", ("25/88", "45/88", "0", "9/44"), "45/88"),
+            ("1/2", ("1/6", "1/2", "0", "1/3"), "1/2"),
+            ("2/3", ("1/15", "2/5", "0", "8/15"), "2/5"),
+            ("63/64", ("1/8128", "189/8128", "0", "3969/4064"), "189/8128"),
+        ],
+    )
+    def test_pinned_solutions(self, rho, profile, objective):
+        # literals printed by the 4x4 Gauss-Jordan solver this LP once used
+        sol = uc.lp_max_s1(rho)
+        assert sol.profile == tuple(Fraction(v) for v in profile)
+        assert sol.objective == Fraction(objective)
+        assert sol.tight == ("s2_nonneg", "hk_bottom")
+
     @given(open_biases)
     def test_tight_constraints(self, rho):
         sol = uc.lp_max_s1(rho)

@@ -612,6 +612,7 @@ class TestWorkBudget:
 
         monkeypatch.setattr(cli, "random_upset", refuse)
         monkeypatch.setattr(cli.bounds, "s1_upper_bound", refuse)
+        monkeypatch.setattr(cli.bounds, "bound_maximizer", refuse)
         monkeypatch.setattr(cli.constructions, "qcurve", refuse)
         monkeypatch.setattr(cli.search, "best_of_restarts", refuse)
         monkeypatch.setattr(cli.posets, "WeightedPoset", refuse)
@@ -638,6 +639,8 @@ class TestWorkBudget:
             # a qcurve row costs n^2 steps once that exceeds ROW_STEPS
             ("qcurve", "--n", str(10**9), "--l", "3", "--grid", "2"),
             ("qcurve", "--n", "3163", "--l", "3", "--points", "1/3"),
+            # about 17036 ternary rounds, charged 17036^3 / 2^14 steps
+            ("bound", "--rho", "3/8", "--maximize-tol", f"1/{10**3000}"),
         ],
     )
     def test_over_budget_exits_2(self, capsys, no_work, argv):
@@ -654,6 +657,7 @@ class TestWorkBudget:
             ("search", "--n", "5", "--rho", "1/2", "--restarts", "99"),
             ("search", "--n", "16", "--rho", "1/2", "--restarts", "2", "--iters", "0"),
             ("qcurve", "--n", "3162", "--l", "3", "--points", "1/3"),
+            ("bound", "--rho", "3/8", "--maximize-tol", f"1/{10**900}"),
         ],
     )
     def test_within_budget_starts_work(self, capsys, no_work, argv):
@@ -670,6 +674,24 @@ class TestWorkBudget:
         code, out, err = run(capsys, "poset", "--file", str(path))
         assert code == 2 and out == ""
         assert err == f"error: poset has {k} elements, limit {k - 1}\n"
+
+    @pytest.mark.parametrize("k, over", [(10, False), (11, True)])
+    def test_poset_scan_charged_before_the_first_pair(self, capsys, monkeypatch, tmp_path, k, over):
+        # an antichain of k elements has 2^k upsets: 2^k (2^k + 1) / 2 pairs of k steps
+        def refuse(*args, **kw):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(cli.posets, "poset_hk_scan", refuse)
+        path = tmp_path / "antichain.json"
+        labels = [f"x{i}" for i in range(k)]
+        path.write_text(json.dumps({"elements": labels, "covers": [], "weights": [f"1/{k}"] * k}))
+        if not over:
+            with pytest.raises(RuntimeError, match="work started"):
+                main(["poset", "--file", str(path)])
+            return
+        code, out, err = run(capsys, "poset", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: a scan of 2048 upsets") and "budget" in err
 
 
 class TestPlumbing:
@@ -736,6 +758,8 @@ class TestOptimizedInterpreter:
             ("verify", "q21"),
             ("verify", "kahn", "--n", "7", "--l", "3", "--p", "3/8"),
             ("lp", "--rho", "1/2"),
+            ("poset", "--diamond", "--p", "3/8"),
+            ("bound", "--rho", "3/8", "--maximize-tol", "1/1000000000"),
             ("build", "q21", "--out", "D"),
             ("closure", "gen24.upset", "--out", "D/closed24.upset"),
         ],

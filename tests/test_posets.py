@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 import upcube as uc
 from upcube.errors import (
@@ -19,6 +19,7 @@ from upcube.posets import (
 )
 
 from cube_strategies import open_biases
+from oracles import naive_reachable
 
 GRID = [Fraction(k, 32) for k in range(1, 32)]
 
@@ -43,6 +44,35 @@ class TestWeightedPoset:
     def test_transitive_closure(self):
         poset = chain(4)
         assert poset.above == (0b1110, 0b1100, 0b1000, 0)
+
+    def test_transitive_closure_against_label_order(self):
+        # c0 < c2 < c1 < c3: a single pass over i in label order misses c0 < c3
+        covers = (("c0", "c2"), ("c2", "c1"), ("c1", "c3"))
+        poset = WeightedPoset(("c0", "c1", "c2", "c3"), covers, (Fraction(1, 4),) * 4)
+        assert poset.above == (0b1110, 0b1000, 0b1010, 0)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_order_matches_naive_reachability(self, data):
+        k = data.draw(st.integers(1, 8))
+        index = st.integers(0, k - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=2 * k))
+        if data.draw(st.booleans()):
+            # acyclic: each pair runs up a shuffled order, often against label order
+            perm = data.draw(st.permutations(range(k)))
+            pairs = [(perm[min(a, b)], perm[max(a, b)]) for a, b in pairs if a != b]
+        labels = tuple(f"e{i}" for i in range(k))
+        covers = tuple((labels[a], labels[b]) for a, b in pairs)
+        reach = naive_reachable(k, pairs)
+        on_cycle = [i for i in range(k) if i in reach[i]]
+        if on_cycle:
+            with pytest.raises(InvalidParams, match=f"cycle through 'e{on_cycle[0]}'"):
+                WeightedPoset(labels, covers, (Fraction(1, k),) * k)
+            return
+        poset = WeightedPoset(labels, covers, (Fraction(1, k),) * k)
+        assert poset.above == tuple(sum(1 << j for j in r) for r in reach)
+        upsets = [m for m in range(1 << k) if all(m >> b & 1 for a, b in pairs if m >> a & 1)]
+        assert uc.enumerate_upsets(poset) == sorted(upsets, key=lambda m: (m.bit_count(), m))
 
     def test_cycle_rejected(self):
         with pytest.raises(InvalidParams, match="cycle through 'a'"):
@@ -173,6 +203,7 @@ class TestHKScan:
         defects = [(uc.poset_hk_defect(poset, u, v), (u, v)) for u in ups for v in ups]
         least = min(d for d, _ in defects)
         assert uc.poset_hk_scan(poset) == next(pair for pair in defects if pair[0] == least)
+        assert uc.poset_hk_scan(poset, ups) == uc.poset_hk_scan(poset)
 
     def test_non_upset_rejected(self):
         poset = uc.diamond_poset(Fraction(1, 2))

@@ -105,6 +105,12 @@ class TestFamilyBasics:
             with pytest.raises(OutOfRange):
                 uc.family_from_points(n, [0, bad])
 
+    @pytest.mark.parametrize("n", [0, 3, 14, 24])
+    def test_repr_evaluates_back(self, n):
+        # decimal bits would pass the 4300-digit int-to-str limit from n = 14
+        for fam in (uc.full_family(n), uc.Family(n, 0)):
+            assert eval(repr(fam), {"Family": uc.Family}) == fam
+
     def test_binary_ops_require_equal_dim(self):
         with pytest.raises(DimensionMismatch):
             uc.full_family(3) | uc.full_family(4)
