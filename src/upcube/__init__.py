@@ -27,7 +27,6 @@ from .setcube import (
     empty_family,
     family_from_points,
     mask_from_elements,
-    full_family,
     hk_defect,
     is_upward_closed,
     measure,

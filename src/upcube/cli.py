@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import isqrt, log2
+from math import isqrt, lcm, log2
 from pathlib import Path
 
 from . import bounds, constructions, lift, posets, search
@@ -54,8 +54,9 @@ def dec10(x: Fraction | int) -> str:
 # restarts x (iters x steps per iteration + start-up), --stop-at or not,
 # since a --stop-at that no restart reaches ends none of them), a
 # hundredth of a report row (bound --sweep, qcurve), since a row holds exact
-# rationals and their decimals, or about a microsecond of a poset scan or of the
-# maximizer's ternary search.  Checked before any of the work starts.
+# rationals and their decimals, or about a microsecond of a poset scan (charged
+# per pair of upsets by the weights' size) or of the maximizer's ternary
+# search.  Checked before any of the work starts.
 WORK_BUDGET = 10**7
 ROW_STEPS = 100
 
@@ -439,9 +440,18 @@ def _cmd_poset(args) -> tuple[dict, int]:
         params = {"file": str(args.file)}
     else:
         raise InvalidParams("poset needs --diamond or --file")
-    upsets = posets.enumerate_upsets(poset)
-    m = len(upsets)  # the scan costs about 1.3 us per element per pair at k = 10
-    _check_work(f"a scan of {m} upsets", m * (m + 1) // 2 * len(poset))
+    # A scan pair is a table lookup and two Fraction operations on upset
+    # weights, whose denominators divide the lcm of the weights'; with b bits
+    # in that lcm a pair took 4.1, 17, 42, 115 and 1016 us at b = 17, 872,
+    # 1024, 2048 and 8192 (CPython 3.11), below this charge in steps.
+    b = lcm(*(w.denominator for w in poset.weights)).bit_length()
+    pair = 5 + b // 32 + (b // 256) ** 2
+    most = (isqrt(8 * (WORK_BUDGET // pair) + 1) - 1) // 2  # m(m + 1)/2 pairs fit
+    upsets = posets.enumerate_upsets(poset, most)
+    if len(upsets) > most:
+        raise TooLarge(
+            f"a scan of more than {most} upsets at {pair} steps a pair exceeds the budget"
+        )
     min_defect, (u, v) = posets.poset_hk_scan(poset, upsets)
     results = {
         "elements": list(poset.elements),

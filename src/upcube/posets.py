@@ -11,6 +11,7 @@ poset's points.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,8 +76,9 @@ class WeightedPoset:
         return tuple(self.elements[i] for i in iter_bits(mask))
 
 
-def _grow_upsets(order: list[int], above: Sequence[int]) -> list[int]:
-    """Every upset as a bitmask over element indices, in backtracking order.
+def _grow_upsets(order: list[int], above: Sequence[int], stop: float = math.inf) -> list[int]:
+    """The first `stop` upsets (all, if fewer) as bitmasks over element
+    indices, in backtracking order.
 
     `order` lists the elements top-down (each after everything above it)
     and `above[i]` masks the elements above i.  An element may join only
@@ -91,15 +93,17 @@ def _grow_upsets(order: list[int], above: Sequence[int]) -> list[int]:
             return
         i = order[pos]
         grow(pos + 1, mask)
-        if above[i] & ~mask == 0:
+        if above[i] & ~mask == 0 and len(found) < stop:
             grow(pos + 1, mask | 1 << i)
 
     grow(0, 0)
     return found
 
 
-def enumerate_upsets(poset: WeightedPoset) -> list[int]:
-    """All upward closed subsets as bitmasks, sorted by (size, mask).
+def enumerate_upsets(poset: WeightedPoset, most: int | None = None) -> list[int]:
+    """All upward closed subsets as bitmasks, sorted by (size, mask).  If
+    there are more than `most`, only most + 1 of them are built and
+    returned, so a caller can refuse a count without listing it.
 
     Backtracks over the elements in ascending order of how many lie above
     them: a top-down order, since everything above i has fewer above it.
@@ -109,7 +113,8 @@ def enumerate_upsets(poset: WeightedPoset) -> list[int]:
         raise TooLarge(f"poset has {k} elements, limit {MAX_POSET}")
     above = poset.above
     order = sorted(range(k), key=lambda i: above[i].bit_count())
-    return sorted(_grow_upsets(order, above), key=lambda m: (m.bit_count(), m))
+    stop = math.inf if most is None else most + 1
+    return sorted(_grow_upsets(order, above, stop), key=lambda m: (m.bit_count(), m))
 
 
 def diamond_poset(p: Fraction | int | str) -> WeightedPoset:
@@ -146,14 +151,15 @@ def poset_hk_scan(
 ) -> tuple[Fraction, tuple[int, int]]:
     """Minimum correlation defect over all ordered pairs of upsets, with witness.
 
-    `upsets` defaults to `enumerate_upsets(poset)`.  The defect is symmetric,
+    `upsets` defaults to `enumerate_upsets(poset)`, and must hold them all:
+    the weight of U∩V is read from their table.  The defect is symmetric,
     so only pairs (u, v) with v at or after u are scanned.
     """
-    weighted = [(u, poset.weight_of(u)) for u in upsets or enumerate_upsets(poset)]
-    pairs = combinations_with_replacement(weighted, 2)
+    weight = {u: poset.weight_of(u) for u in upsets or enumerate_upsets(poset)}
+    pairs = combinations_with_replacement(weight.items(), 2)
     # min keeps the first pair with the least defect, which has u at or before v
     return min(
-        ((poset.weight_of(u & v) - wu * wv, (u, v)) for (u, wu), (v, wv) in pairs),
+        ((weight[u & v] - wu * wv, (u, v)) for (u, wu), (v, wv) in pairs),
         key=lambda pair: pair[0],
     )
 

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -675,23 +676,55 @@ class TestWorkBudget:
         assert code == 2 and out == ""
         assert err == f"error: poset has {k} elements, limit {k - 1}\n"
 
-    @pytest.mark.parametrize("k, over", [(10, False), (11, True)])
-    def test_poset_scan_charged_before_the_first_pair(self, capsys, monkeypatch, tmp_path, k, over):
-        # an antichain of k elements has 2^k upsets: 2^k (2^k + 1) / 2 pairs of k steps
+    @staticmethod
+    def _antichain(tmp_path, weights):
+        path = tmp_path / "antichain.json"
+        labels = [f"x{i}" for i in range(len(weights))]
+        path.write_text(json.dumps({"elements": labels, "covers": [], "weights": weights}))
+        return path
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
         def refuse(*args, **kw):
             raise RuntimeError("work started")
 
         monkeypatch.setattr(cli.posets, "poset_hk_scan", refuse)
-        path = tmp_path / "antichain.json"
-        labels = [f"x{i}" for i in range(k)]
-        path.write_text(json.dumps({"elements": labels, "covers": [], "weights": [f"1/{k}"] * k}))
+
+    @pytest.mark.parametrize("k, over", [(10, False), (11, True)])
+    def test_poset_scan_charged_before_the_first_pair(self, capsys, no_scan, tmp_path, k, over):
+        # an antichain of k elements has 2^k upsets: 2^k (2^k + 1) / 2 pairs
+        # of 5 steps with weights 1/k, so at most 1999 upsets fit
+        path = self._antichain(tmp_path, [f"1/{k}"] * k)
         if not over:
             with pytest.raises(RuntimeError, match="work started"):
                 main(["poset", "--file", str(path)])
             return
         code, out, err = run(capsys, "poset", "--file", str(path))
         assert code == 2 and out == ""
-        assert err.startswith("error: a scan of 2048 upsets") and "budget" in err
+        assert err == "error: a scan of more than 1999 upsets at 5 steps a pair exceeds the budget\n"
+
+    def test_poset_enumeration_stops_at_the_budget(self, capsys, no_scan, tmp_path):
+        # a 20-element antichain has 2^20 upsets, whose list took 145 MB of
+        # RSS; the 2000 that show the scan is over budget take far less
+        path = self._antichain(tmp_path, ["1/20"] * 20)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "poset", "--file", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error: a scan of more than 1999 upsets")
+        assert peak < 10 * 2**20, peak
+
+    def test_poset_scan_charged_by_weight_size(self, capsys, no_scan, tmp_path):
+        # 1024 upsets pass at 5 steps a pair, but with 300-digit weights a
+        # pair costs about ten times as much
+        big = 10**300 + 7
+        weights = [f"{big // 10}/{big}"] * 9 + [f"{big - 9 * (big // 10)}/{big}"]
+        code, out, err = run(capsys, "poset", "--file", str(self._antichain(tmp_path, weights)))
+        assert code == 2 and out == ""
+        assert err == "error: a scan of more than 666 upsets at 45 steps a pair exceeds the budget\n"
 
 
 class TestPlumbing:

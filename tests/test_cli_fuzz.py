@@ -62,12 +62,28 @@ BAD_UPSET = st.tuples(
         st.text("n=0123456789,{}\n -", max_size=24).map(str.encode),
     ),
 )
-# the antichain is a well-formed poset on which Harris-Kleitman fails: exit 1
+
+
+def antichain(weights: list[str]) -> bytes:
+    labels = [f"x{i}" for i in range(len(weights))]
+    return json.dumps({"elements": labels, "covers": [], "weights": weights}).encode()
+
+
+# Well-formed posets whose scan is over the work budget: 2^20 upsets, and
+# 2^10 upsets whose 300-digit weights make each pair cost ten times more.
+BIG = 10**300 + 7
+HUGE_POSETS = (
+    antichain(["1/20"] * 20),
+    antichain([f"{BIG // 10}/{BIG}"] * 9 + [f"{BIG - 9 * (BIG // 10)}/{BIG}"]),
+)
+# the two-element antichain is a well-formed poset on which Harris-Kleitman
+# fails: exit 1
 POSET = st.tuples(
     st.just("poset.json"),
     pool(
         b'{"elements": ["lo", "hi"], "covers": [["lo", "hi"]], "weights": ["1/2", "1/2"]}',
         b'{"elements": ["a", "b"], "covers": [], "weights": ["1/2", "1/2"]}',
+        *HUGE_POSETS,
     ),
 )
 BAD_POSET = st.tuples(
@@ -190,6 +206,9 @@ def _verdicts(argv: list[str], out: str) -> list[bool] | None:
 @given(invocations())
 # a header past int()'s 4300-digit limit, checked before it is converted
 @example((["measure", "--family", "family.upset"], {"family.upset": b"n=" + b"9" * 5000 + b"\n"}))
+# each poset scan over the budget, refused before its first pair
+@example((["poset", "--file", "poset.json"], {"poset.json": HUGE_POSETS[0]}))
+@example((["poset", "--file", "poset.json"], {"poset.json": HUGE_POSETS[1]}))
 def test_every_exit_is_honest(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -38,7 +38,7 @@ class TestBasicFamilies:
                 assert uc.threshold(n, l).count == want
 
     def test_threshold_extremes(self):
-        assert uc.threshold(3, 0) == uc.full_family(3)
+        assert uc.threshold(3, 0) == ~uc.empty_family(3)
         assert uc.threshold(3, 4) == uc.empty_family(3)
 
     def test_threshold_range(self):

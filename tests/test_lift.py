@@ -36,18 +36,18 @@ class TestGadget:
         assert uc.gadget_bias(g) == Fraction(1, 2)
 
     def test_full_selector(self):
-        g = LiftGadget(2, uc.full_family(2))
+        g = LiftGadget(2, ~uc.empty_family(2))
         assert uc.gadget_bias(g) == 1
 
     def test_width_out_of_range(self):
         with pytest.raises(InvalidParams):
-            LiftGadget(0, uc.full_family(0))
+            LiftGadget(0, ~uc.empty_family(0))
         with pytest.raises(InvalidParams):
-            LiftGadget(5, uc.full_family(5))
+            LiftGadget(5, ~uc.empty_family(5))
 
     def test_selector_dimension_mismatch(self):
         with pytest.raises(InvalidParams):
-            LiftGadget(3, uc.full_family(2))
+            LiftGadget(3, ~uc.empty_family(2))
 
     def test_selector_must_be_monotone(self):
         with pytest.raises(NotUpwardClosed):
@@ -64,7 +64,7 @@ class TestPullBack:
     def test_empty_and_full(self):
         g = uc.three_eighths_gadget()
         assert uc.pull_back(uc.empty_family(2), g) == uc.empty_family(6)
-        assert uc.pull_back(uc.full_family(2), g) == uc.full_family(6)
+        assert uc.pull_back(~uc.empty_family(2), g) == ~uc.empty_family(6)
 
     def test_dictator_lift_count(self):
         g = uc.three_eighths_gadget()
@@ -104,9 +104,9 @@ class TestPullBack:
 
     def test_dimension_overflow(self):
         g = uc.three_eighths_gadget()
-        assert uc.pull_back(uc.full_family(8), g).n == 24  # exactly at the cap
+        assert uc.pull_back(~uc.empty_family(8), g).n == 24  # exactly at the cap
         with pytest.raises(TooLarge, match="dimension 27 exceeds N_MAX=24"):
-            uc.pull_back(uc.full_family(9), g)
+            uc.pull_back(~uc.empty_family(9), g)
 
     def test_dimension_checked_before_lifting(self, monkeypatch):
         def refuse(*args):
@@ -114,7 +114,7 @@ class TestPullBack:
 
         monkeypatch.setattr(lift, "_lift_bits", refuse)
         with pytest.raises(TooLarge):
-            uc.pull_back(uc.full_family(9), uc.three_eighths_gadget())
+            uc.pull_back(~uc.empty_family(9), uc.three_eighths_gadget())
 
     @pytest.mark.parametrize("block", [3, 4])
     @pytest.mark.parametrize("b", [1, 2, 3, 4])
@@ -191,7 +191,7 @@ class TestTopUp:
 
     def test_intermediate_prefixes_closed(self):
         z = uc.empty_family(4)
-        pool = uc.full_family(4)
+        pool = ~uc.empty_family(4)
         for t in range(17):
             got = uc.topup_to_count(z, pool, t)
             assert got.count == t

@@ -129,6 +129,15 @@ class TestEnumerateUpsets:
         with pytest.raises(TooLarge):
             uc.enumerate_upsets(antichain(21))
 
+    @pytest.mark.parametrize("poset", [antichain(6), chain(6), uc.diamond_poset(Fraction(1, 3))])
+    def test_most_stops_one_past(self, poset):
+        ups = uc.enumerate_upsets(poset)
+        for most in (0, 1, len(ups) // 2, len(ups) - 1, len(ups), len(ups) + 5):
+            head = uc.enumerate_upsets(poset, most)
+            assert len(head) == min(most + 1, len(ups))
+            assert set(head) <= set(ups) and head == sorted(head, key=lambda m: (m.bit_count(), m))
+        assert uc.enumerate_upsets(poset, len(ups)) == ups
+
 
 class TestDiamondPoset:
     def test_weights_at_half(self):

@@ -41,6 +41,7 @@ from oracles import (
     naive_addable,
     naive_is_upward_closed,
     naive_iter_bits,
+    naive_level_counts,
     naive_measure,
     naive_minimal,
     naive_no_member_below,
@@ -83,7 +84,7 @@ class TestFamilyBasics:
         for bad in (1 << 4, -1):  # the first point past Q_2, a negative vector
             with pytest.raises(OutOfRange):
                 uc.Family(2, bad)
-        assert uc.Family(2, (1 << 4) - 1) == uc.full_family(2)
+        assert uc.Family(2, (1 << 4) - 1) == ~uc.empty_family(2)
 
     def test_container_protocol(self):
         fam = uc.family_from_points(3, [0b101, 0b111])
@@ -108,12 +109,12 @@ class TestFamilyBasics:
     @pytest.mark.parametrize("n", [0, 3, 14, 24])
     def test_repr_evaluates_back(self, n):
         # decimal bits would pass the 4300-digit int-to-str limit from n = 14
-        for fam in (uc.full_family(n), uc.Family(n, 0)):
+        for fam in (~uc.empty_family(n), uc.Family(n, 0)):
             assert eval(repr(fam), {"Family": uc.Family}) == fam
 
     def test_binary_ops_require_equal_dim(self):
         with pytest.raises(DimensionMismatch):
-            uc.full_family(3) | uc.full_family(4)
+            ~uc.empty_family(3) | ~uc.empty_family(4)
 
     def test_check_bias(self):
         assert check_bias("3/8") == Fraction(3, 8)
@@ -137,7 +138,7 @@ class TestClosure:
         assert uc.up_closure(uc.family_from_points(4, [0])).count == 16
 
     def test_is_upward_closed_examples(self):
-        assert uc.is_upward_closed(uc.full_family(3))
+        assert uc.is_upward_closed(~uc.empty_family(3))
         assert not uc.is_upward_closed(uc.family_from_points(3, [0b011]))
 
     @given(families())
@@ -235,12 +236,12 @@ class TestCombine:
         assert (threshold(5, 3) | dictator(5, 1)).count == 21
 
     def test_complement(self):
-        assert (~uc.full_family(3)).count == 0
+        assert (~uc.empty_family(3)).count == 8 and ~~uc.empty_family(3) == uc.empty_family(3)
 
     def test_difference(self):
         from upcube.constructions import dictator
 
-        assert (uc.full_family(5) - dictator(5, 1)).count == 16
+        assert (~uc.empty_family(5) - dictator(5, 1)).count == 16
 
     @given(upset_pairs())
     def test_de_morgan(self, pair):
@@ -259,7 +260,7 @@ class TestMeasure:
         from upcube.constructions import dictator
 
         assert uc.measure(dictator(7, 1), Fraction(3, 8)) == Fraction(3, 8)
-        assert uc.measure(uc.full_family(4), Fraction(2, 7)) == 1
+        assert uc.measure(~uc.empty_family(4), Fraction(2, 7)) == 1
         assert uc.measure(uc.empty_family(4), Fraction(2, 7)) == 0
 
     @given(families(), biases)
@@ -423,6 +424,13 @@ class TestBlockedKernels:
         assert uc.measure(fam, p) == (1 - p) ** (n - block) * (1 - (1 - p) ** block)
         assert uc.measure(closed, p) == 1 - (1 - p) ** block
 
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_level_counts_at_block_match_naive(self, n):
+        # random bits put 2^(n - BLOCK) distinct blocks on the top levels
+        fam = uc.Family(n, random.Random(n).getrandbits(1 << n))
+        assert setcube.BLOCK < n
+        assert level_counts(fam) == naive_level_counts(fam)
+
     def test_n17_matches_leaves_on_whole_vector(self):
         n = 17
         assert setcube.BLOCK < n
@@ -499,6 +507,27 @@ class TestPointKernels:
             minimal = uc.minimal_points(closed, pts)
             assert closed == uc.up_closure(uc.family_from_points(n, pts))
         assert fam_to_set(closed) == naive_up_closure(n, set(pts))
+        assert minimal == sorted(naive_minimal(set(pts)), key=lambda m: (m.bit_count(), m))
+
+    @given(st.data())
+    def test_single_block_matches_naive(self, data):
+        # n <= BLOCK: one block, its points unsorted, repeated, and on either
+        # side of SPARSE
+        n = data.draw(st.integers(0, 9))
+        pts = data.draw(point_lists(n))
+        closed = uc.close_points(n, pts)
+        assert fam_to_set(closed) == naive_up_closure(n, set(pts))
+        minimal = uc.minimal_points(closed, pts)
+        assert minimal == sorted(naive_minimal(set(pts)), key=lambda m: (m.bit_count(), m))
+
+    def test_full_single_block_matches_naive(self):
+        n, rng = setcube.BLOCK, random.Random(16)
+        pts = [rng.randrange(1 << n) for _ in range(setcube.SPARSE + 4)]
+        pts += pts[::3]
+        rng.shuffle(pts)
+        closed = uc.close_points(n, pts)
+        assert fam_to_set(closed) == naive_up_closure(n, set(pts))
+        minimal = uc.minimal_points(closed, pts)
         assert minimal == sorted(naive_minimal(set(pts)), key=lambda m: (m.bit_count(), m))
 
     @pytest.mark.parametrize("n", [3, 16, 17, 24])
@@ -616,12 +645,12 @@ class TestOccupancy:
     def test_normalization_checked(self, monkeypatch, p):
         monkeypatch.setattr(setcube, "_occupancy_block", lambda a, b, c, full: (0, 0, 0, 0))
         with pytest.raises(InvariantViolation):
-            uc.occupancy(uc.full_family(3), uc.full_family(3), uc.full_family(3), p)
+            uc.occupancy(~uc.empty_family(3), ~uc.empty_family(3), ~uc.empty_family(3), p)
 
     def test_mass_normalization_checked(self, monkeypatch):
         monkeypatch.setattr(setcube, "_mass", lambda n, blocks, p: sum(map(int.bit_count, blocks)))
         with pytest.raises(InvariantViolation):
-            uc.occupancy(uc.full_family(3), uc.empty_family(3), uc.empty_family(3), Fraction(1, 3))
+            uc.occupancy(~uc.empty_family(3), uc.empty_family(3), uc.empty_family(3), Fraction(1, 3))
 
     def test_normalization_check_survives_optimize_flag(self):
         code = (
@@ -630,7 +659,7 @@ class TestOccupancy:
             "from upcube import setcube\n"
             "from upcube.errors import InvariantViolation\n"
             "setcube._occupancy_block = lambda a, b, c, full: (0, 0, 0, 0)\n"
-            "f = uc.full_family(3)\n"
+            "f = ~uc.empty_family(3)\n"
             "try:\n"
             "    uc.occupancy(f, f, f, Fraction(1, 3))\n"
             "except InvariantViolation:\n"
@@ -651,11 +680,11 @@ class TestOccupancy:
         for bits in classes:
             assert acc & bits == 0
             acc |= bits
-        assert acc == uc.full_family(4).bits
+        assert acc == (~uc.empty_family(4)).bits
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            uc.occupancy(uc.full_family(3), uc.full_family(3), uc.full_family(4))
+            uc.occupancy(~uc.empty_family(3), ~uc.empty_family(3), ~uc.empty_family(4))
 
 
 class TestHKDefect:
@@ -693,7 +722,7 @@ class TestTwoSetExactlyOne:
         x = dictator(5, 1)
         assert uc.measure(x ^ x, HALF) == 0
         assert uc.measure(dictator(5, 1) ^ dictator(5, 2), HALF) == HALF
-        assert uc.measure(uc.full_family(3) ^ uc.empty_family(3), HALF) == 1
+        assert uc.measure(~uc.empty_family(3) ^ uc.empty_family(3), HALF) == 1
 
     @given(upset_pairs(), biases)
     def test_two_set_corollary(self, pair, p):
@@ -743,6 +772,15 @@ class TestIterBits:
     def test_rejects_negative_at_once(self):
         with pytest.raises(OutOfRange):
             next(iter_bits(-1))
+
+
+class TestMaskTables:
+    @pytest.mark.parametrize("n", [*range(13), 16])
+    def test_absent_masks_match_naive(self, n):
+        masks = absent_masks(n)
+        assert len(masks) == n
+        for i, mask in enumerate(masks):
+            assert mask == sum(1 << m for m in range(1 << n) if not m >> i & 1)
 
 
 class TestDimensionChecks:
