@@ -9,7 +9,6 @@ from .bounds import (
     s1_upper_bound,
 )
 from .constructions import (
-    ConstructionParams,
     TripleSystem,
     dictator,
     kahn_triple,
@@ -39,12 +38,10 @@ from .setcube import (
 )
 from .errors import UpcubeError
 from .lift import (
-    LiftGadget,
     LiftReport,
     build_q21,
-    gadget_bias,
+    gadget,
     pull_back,
-    three_eighths_gadget,
     topup_to_count,
 )
 from .posets import (

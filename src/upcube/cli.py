@@ -23,6 +23,7 @@ from . import bounds, constructions, lift, posets, search
 from .setcube import (
     Family,
     OccupancyProfile,
+    check_bias,
     close_points,
     hk_defect,
     is_upward_closed,
@@ -50,13 +51,14 @@ def dec10(x: Fraction | int) -> str:
 
 
 # The most work one call may ask for, in steps: a point of a random upset
-# (hk-random: trials x 2^n), a hill-climb iteration at n <= 5 (search:
-# restarts x (iters x steps per iteration + start-up), --stop-at or not,
-# since a --stop-at that no restart reaches ends none of them), a
-# hundredth of a report row (bound --sweep, qcurve), since a row holds exact
-# rationals and their decimals, or about a microsecond of a poset scan (charged
-# per pair of upsets by the weights' size) or of the maximizer's ternary
-# search.  Checked before any of the work starts.
+# (hk-random: trials x 2^n, with a trial's measures charged by the bias's
+# size), a hill-climb iteration at n <= 5 (search: restarts x (iters x
+# steps per iteration + start-up), --stop-at or not, since a --stop-at that
+# no restart reaches ends none of them), a hundredth of a report row (bound
+# --sweep, qcurve; a qcurve row is charged by n and the bias's size), since
+# a row holds exact rationals and their decimals, or about a microsecond of
+# a poset scan (charged per pair of upsets by the weights' size) or of the
+# maximizer's ternary search.  Checked before any of the work starts.
 WORK_BUDGET = 10**7
 ROW_STEPS = 100
 
@@ -133,14 +135,14 @@ def _verify_q5(args) -> tuple[dict, int]:
 
 
 def _verify_kahn(args) -> tuple[dict, int]:
-    params = constructions.ConstructionParams(args.n, args.l, args.p)
-    triple = constructions.kahn_triple(params)
-    prof = occupancy(triple.x, triple.y, triple.z, params.p)
-    formula = constructions.q_formula(params)
+    p = check_bias(args.p)
+    triple = constructions.kahn_triple(args.n, args.l)
+    prof = occupancy(triple.x, triple.y, triple.z, p)
+    formula = constructions.q_formula(args.n, args.l, p)
     results = {
         "label": triple.label,
         "counts": [triple.x.count, triple.y.count, triple.z.count],
-        "z_measure": rat(measure(triple.z, params.p)),
+        "z_measure": rat(measure(triple.z, p)),
         "occupancy": _profile_block(prof),
         "q_formula": rat(formula),
         "q_formula_dec": dec10(formula),
@@ -290,16 +292,21 @@ def _cmd_lp(args) -> tuple[dict, int]:
 
 def _cmd_qcurve(args) -> tuple[dict, int]:
     if args.points:
-        size = len(args.points)
+        size, d = len(args.points), max(p.denominator for p in args.points).bit_length()
     elif args.grid is not None:
         if args.grid < 1:
             raise InvalidParams(f"--grid must be at least 1, got {args.grid}")
-        size = args.grid + 1
+        size, d = args.grid + 1, args.grid.bit_length()
     else:
         raise InvalidParams("qcurve needs --grid or --points")
-    # q(n, l, p) sums n terms of O(n)-digit rationals: at n = 24, 100 and
-    # 1000 one row took 0.2 ms, 1.2 ms and 0.12 s, under n^2 steps.
-    _check_work(f"{size} rows at n = {args.n}", size * max(ROW_STEPS, args.n * args.n))
+    # q(n, l, p) sums n terms over the denominator b^n of p = a/b, d = bits
+    # of b: at d = 2 and n = 24, 100 and 1000 one row took 0.2 ms, 1.2 ms
+    # and 0.12 s, under n^2 steps.  Once n d^2 passes 2^15 the gcds of n d-bit
+    # ints take over, n^3 d^2 / 2^15 steps: at d = 997 and n = 50, 100 and
+    # 200 a row took 0.22, 2.4 and 19.5 s.  Over n = 10..3000 and d = 2..13300
+    # a row took at most 0.15 us per step charged (2 CPUs, CPython 3.11).
+    row = args.n * args.n * (1 + (args.n * d * d >> 15))
+    _check_work(f"{size} rows at n = {args.n}", size * max(ROW_STEPS, row))
     grid = args.points or [Fraction(i, args.grid) for i in range(size)]
     rows = [
         {"p": rat(p), "q": rat(q), "q_dec": dec10(q), "exceeds_4_9": q > Fraction(4, 9)}
@@ -348,7 +355,7 @@ def _cmd_build(args) -> tuple[dict, int]:
     else:  # kahn
         if args.l is None:
             raise InvalidParams("build kahn needs --l")
-        triple = constructions.kahn_triple(constructions.ConstructionParams(args.n, args.l))
+        triple = constructions.kahn_triple(args.n, args.l)
         params = {"target": "kahn", "n": args.n, "l": args.l}
     results = {"label": triple.label, "counts": [triple.x.count, triple.y.count, triple.z.count]}
     if out:
@@ -495,7 +502,13 @@ def _cmd_hk_random(args) -> tuple[dict, int]:
         raise InvalidParams(f"hk-random needs 0 <= n <= 12, got {args.n}")
     if args.trials < 1:
         raise InvalidParams("need at least one trial")
-    _check_work(f"--trials {args.trials} at n = {args.n}", args.trials << args.n)
+    # A trial's three measures at p = a/b divide (n d)-bit ints, d = bits of
+    # b, which costs (n d)^2 / 2^15 steps beside its 2^n: at n = 10 and d = 2,
+    # 1024 and 13300 a trial took 0.37 ms, 1.6 ms and 0.14 s, 0.17-0.36 us per
+    # step charged over n = 4..12 (2 CPUs, CPython 3.11).
+    d = args.p.denominator.bit_length()
+    trial_steps = (1 << args.n) + ((args.n * d) ** 2 >> 15)
+    _check_work(f"--trials {args.trials} at n = {args.n}", args.trials * trial_steps)
     rng = random.Random(args.seed)
 
     def trial(t: int) -> tuple[Fraction, int, Family, Family]:

@@ -44,18 +44,10 @@ class TripleSystem:
         return self.x.n
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Dimension, level threshold, bias for the parametric triple."""
-
-    n: int
-    l: int
-    p: Fraction = Fraction(1, 2)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.l <= self.n - 2:
-            raise InvalidParams(f"need 1 <= l <= n-2, got n={self.n}, l={self.l}")
-        object.__setattr__(self, "p", check_bias(self.p))
+def _check_level(n: int, l: int) -> None:
+    """The patch level of the parametric triple lies in 1..n-2."""
+    if not 1 <= l <= n - 2:
+        raise InvalidParams(f"need 1 <= l <= n-2, got n={n}, l={l}")
 
 
 def dictator(n: int, i: int) -> Family:
@@ -92,26 +84,27 @@ def q5_triple() -> TripleSystem:
     return TripleSystem(dictator(n, 1), dictator(n, 2), z, label="q5")
 
 
-def kahn_triple(params: ConstructionParams) -> TripleSystem:
+def kahn_triple(n: int, l: int) -> TripleSystem:
     """Two dictators plus a threshold family patched at level l.
 
     Z holds every set of size > l together with the size-l sets avoiding
     both dictator coordinates; adding those keeps Z upward closed while
     shifting mass into the exactly-one class.
     """
-    n, l = params.n, params.l
+    _check_level(n, l)
     x, y = dictator(n, 1), dictator(n, 2)
     z = threshold(n, l + 1) | (threshold(n, l) - (x | y))
     return TripleSystem(x, y, z, label=f"kahn(n={n},l={l})")
 
 
-def q_formula(params: ConstructionParams) -> Fraction:
+def q_formula(n: int, l: int, p: Fraction) -> Fraction:
     """Closed form for the exactly-one density of kahn_triple at bias p.
 
     q = 2 sum_{k=1}^{l} C(n-2, k-1) p^k (1-p)^(n-k)
           + sum_{k=l}^{n-2} C(n-2, k) p^k (1-p)^(n-k)
     """
-    n, l, p = params.n, params.l, params.p
+    _check_level(n, l)
+    p = check_bias(p)
     q = 1 - p
     dict_part = sum(
         (comb(n - 2, k - 1) * p**k * q ** (n - k) for k in range(1, l + 1)), Fraction(0)
@@ -122,4 +115,4 @@ def q_formula(params: ConstructionParams) -> Fraction:
 
 def qcurve(n: int, l: int, p_grid: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
     """q_formula sampled along a grid of biases."""
-    return [(p, q_formula(ConstructionParams(n, l, p))) for p in (check_bias(p) for p in p_grid)]
+    return [(p, q_formula(n, l, p)) for p in map(check_bias, p_grid)]

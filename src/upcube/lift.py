@@ -1,18 +1,20 @@
 """Block lifts between cubes and the exact-count greedy top-up.
 
-A gadget (b, I) with I upward closed in Q_b turns each width-b block of
-a Q_{bm} point into one biased coordinate: the derived Q_m point has
-coordinate j set iff block j (bits jb..jb+b-1) lies in I.  Pulling a
-family back through this map multiplies its biased measure at
-p = |I|/2^b into a uniform density, which is how a Q_7 triple at bias
-3/8 becomes a Q_21 triple at bias 1/2.
+A gadget (k, b) selects the first k points I of Q_b in descending size,
+ties by ascending mask, and turns each width-b block of a Q_{bm} point
+into one biased coordinate: the derived Q_m point has coordinate j set
+iff block j (bits jb..jb+b-1) lies in I.  Pulling a family back through
+this map multiplies its biased measure at p = k/2^b into a uniform
+density, which is how a Q_7 triple at bias 3/8 becomes a Q_21 triple at
+bias 1/2.
 
 The lift is built in the storage blocks of setcube, never as one 2^n-bit
-int.  Closedness is checked in two places only: `LiftGadget` checks I,
-and `topup_to_count` checks its result once and caches the verdict.  The
-pull-backs themselves are not checked (a preimage of an upset under this
-map is an upset, but `pull_back` accepts any family), and `build_q21`
-checks their counts against the base measures instead.
+int.  I is upward closed by construction: every proper superset of a
+point is larger, so it comes earlier in the order.  Closedness is checked
+in one place only: `topup_to_count` checks its result once and caches the
+verdict.  The pull-backs themselves are not checked (a preimage of an
+upset under this map is an upset, but `pull_back` accepts any family),
+and `build_q21` checks their counts against the base measures instead.
 """
 
 from __future__ import annotations
@@ -25,42 +27,26 @@ from .setcube import (
     OccupancyProfile,
     _width,
     check_dim,
-    family_from_points,
     is_upward_closed,
     level_masks,
     measure,
     occupancy,
     select_bit,
-    up_closure,
 )
-from .constructions import ConstructionParams, TripleSystem, kahn_triple
+from .constructions import TripleSystem, kahn_triple
 from .errors import InvalidParams, InvariantViolation, NotUpwardClosed
 
 
-@dataclass(frozen=True)
-class LiftGadget:
-    """Block width b and an upward closed selector family I over Q_b."""
-
-    b: int
-    i_fam: Family
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.b <= 4:
-            raise InvalidParams(f"block width {self.b} outside 1..4")
-        if self.i_fam.n != self.b:
-            raise InvalidParams(f"selector lives in Q_{self.i_fam.n}, expected Q_{self.b}")
-        if not is_upward_closed(self.i_fam):
-            raise NotUpwardClosed("gadget selector must be upward closed")
-
-
-def gadget_bias(g: LiftGadget) -> Fraction:
-    """The bias the lift realizes: |I| / 2^b exactly."""
-    return Fraction(g.i_fam.count, 1 << g.b)
-
-
-def three_eighths_gadget() -> LiftGadget:
-    """b=3 selector {{1,2},{1,3},{1,2,3}}: the smallest gadget of bias 3/8."""
-    return LiftGadget(3, up_closure(family_from_points(3, [0b011, 0b101])))
+def gadget(k: int, b: int) -> int:
+    """Selector bits of the gadget (k, b): the first k points of Q_b in
+    descending size, ties by ascending mask.  Each such prefix is upward
+    closed, and the lift realizes the bias k/2^b."""
+    if not 1 <= b <= 4:
+        raise InvalidParams(f"block width {b} outside 1..4")
+    if not 0 <= k <= 1 << b:
+        raise InvalidParams(f"gadget size {k} outside 0..{1 << b}")
+    order = sorted(range(1 << b), key=lambda d: (-d.bit_count(), d))
+    return sum(1 << d for d in order[:k])
 
 
 def _lift_bits(s_bits: int, m: int, i_bits: int, b: int) -> int:
@@ -79,36 +65,37 @@ def _lift_bits(s_bits: int, m: int, i_bits: int, b: int) -> int:
     return out
 
 
-def pull_back(s: Family, g: LiftGadget) -> Family:
-    """Preimage of S under the block map Q_{g.b * S.n} -> Q_{S.n}, as blocks.
+def pull_back(s: Family, k: int, b: int) -> Family:
+    """Preimage of S under the block map Q_{b * S.n} -> Q_{S.n} of the gadget
+    (k, b), as blocks.
 
-    The low k = min(m, w // b) coordinates of S (w the block width) lift
-    within one chunk of 2^(kb) points.  So the sub-vectors of S over them,
+    The low q = min(m, w // b) coordinates of S (w the block width) lift
+    within one chunk of 2^(qb) points.  So the sub-vectors of S over them,
     one per setting t of its top coordinates, lift by `_lift_bits` to the
-    only 2^(m-k) chunks there are.  The chunk at top gadget blocks H is the
+    only 2^(m-q) chunks there are.  The chunk at top gadget blocks H is the
     lift at t = h(H), where bit j of h(H) says whether gadget block j of H
-    lies in I.  Each storage block joins the 2^(w-kb) chunks it holds, and
-    blocks made of the same chunks share one int.
+    lies in the gadget's selector I.  Each storage block joins the 2^(w-qb)
+    chunks it holds, and blocks made of the same chunks share one int.
 
-    Exactly measure-preserving: count(result) = measure(S, gadget_bias) * 2^(bm).
+    Exactly measure-preserving: count(result) = measure(S, k/2^b) * 2^(bm).
     The result is upward closed when S is, because I is upward closed, but
     it is not marked closed: S is not checked here.
     """
-    m, b = s.n, g.b
+    i_bits = gadget(k, b)
+    m = s.n
     n = b * m
     check_dim(n)
     w = _width(n)
-    k = min(m, w // b)
-    span = k * b  # a chunk covers the low `span` coordinates
-    i_bits = sum(1 << d for d in g.i_fam)
-    sub = (1 << (1 << k)) - 1
-    # k is at most S's own block width, so each sub-vector lies in one block
-    per_s = 1 << (_width(m) - k)
-    vals = [blk >> (r << k) & sub for blk in s._blocks for r in range(per_s)]
-    lifted = {v: _lift_bits(v, k, i_bits, b) for v in set(vals)}
+    q = min(m, w // b)
+    span = q * b  # a chunk covers the low `span` coordinates
+    sub = (1 << (1 << q)) - 1
+    # q is at most S's own block width, so each sub-vector lies in one block
+    per_s = 1 << (_width(m) - q)
+    vals = [blk >> (r << q) & sub for blk in s._blocks for r in range(per_s)]
+    lifted = {v: _lift_bits(v, q, i_bits, b) for v in set(vals)}
     subs = [lifted[v] for v in vals]
     h = [0]  # h[H] for H over the top gadget blocks, ascending
-    for j in range(m - k):
+    for j in range(m - q):
         h = [t | (i_bits >> d & 1) << j for d in range(1 << b) for t in h]
     per = 1 << (w - span)  # chunks per block
     joined: dict[tuple[int, ...], int] = {}
@@ -194,12 +181,12 @@ def build_q21() -> tuple[TripleSystem, LiftReport]:
     """Lift the (n=7, l=3) triple at bias 3/8 into Q_21 and top Z up to
     density 3/8 exactly; the resulting uniform triple has exactly-one
     occupancy 937950/2^21 > 4/9."""
-    g = three_eighths_gadget()
-    bias = gadget_bias(g)
-    base = kahn_triple(ConstructionParams(7, 3, bias))
+    k, b = 3, 3
+    bias = Fraction(k, 1 << b)
+    base = kahn_triple(7, 3)
     # a preimage commutes with ∩ and ∖, so the pool is one pull-back
     pool_base = (base.x & base.y) - base.z
-    x, y, z0, pool = (pull_back(f, g) for f in (base.x, base.y, base.z, pool_base))
+    x, y, z0, pool = (pull_back(f, k, b) for f in (base.x, base.y, base.z, pool_base))
     # base certificate: each lifted count is its base mass at the bias
     lifts = (("X", base.x, x), ("Y", base.y, y), ("Z", base.z, z0), ("pool", pool_base, pool))
     for name, fam, lifted in lifts:
@@ -208,11 +195,8 @@ def build_q21() -> tuple[TripleSystem, LiftReport]:
             raise InvariantViolation(
                 f"lifted {name} has {lifted.count} points, its base measure predicts {predicted}"
             )
-    target_density = bias * (1 << x.n)
-    if target_density.denominator != 1:
-        raise InvariantViolation(f"target count {target_density} is not an integer")
-    target = target_density.numerator
+    target = k << b * (base.n - 1)  # bias * 2^(bm)
     z1 = topup_to_count(z0, pool, target)
     profile = occupancy(x, y, z1, Fraction(1, 2))
-    report = LiftReport(base.n, g.b, bias, z0.count, pool.count, target, profile)
+    report = LiftReport(base.n, b, bias, z0.count, pool.count, target, profile)
     return TripleSystem(x, y, z1, label="q21"), report

@@ -50,7 +50,6 @@ from .setcube import (
     iter_bits,
     level_weights,
     measure,
-    occupancy,
     random_upset,
     select_bit,
 )
@@ -87,12 +86,6 @@ class SearchObjective:
         object.__setattr__(self, "bias", check_bias(self.bias))
         if not 0 < self.bias < 1:
             raise InvalidBias("search bias must lie strictly inside (0, 1)")
-
-    def value(self, triple: TripleSystem) -> Fraction:
-        """Exact objective value of a triple."""
-        if self.kind == "s1_density":
-            return occupancy(triple.x, triple.y, triple.z, self.bias).s1
-        return min(part_measures(triple, self.bias))
 
 
 def part_measures(triple: TripleSystem, p: Fraction) -> tuple[Fraction, Fraction, Fraction]:

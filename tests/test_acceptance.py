@@ -59,16 +59,14 @@ def test_criterion_1_q5_counterexample(announce):
 
 def test_criterion_2_q_formula(announce):
     with announce(2, "closed-form q(7,3,·): 4/9 at 1/3, 937950/2^21 at 3/8"):
-        p = uc.ConstructionParams(7, 3, Fraction(1, 3))
-        assert uc.q_formula(p) == Fraction(4, 9)
+        assert uc.q_formula(7, 3, Fraction(1, 3)) == Fraction(4, 9)
 
-        p = uc.ConstructionParams(7, 3, Fraction(3, 8))
-        value = uc.q_formula(p)
+        value = uc.q_formula(7, 3, Fraction(3, 8))
         assert value == Fraction(937950, 2097152)
         assert value > Fraction(447, 1000)
         # two independent confirmations of the numerator
         assert value == naive_q(7, 3, Fraction(3, 8))
-        triple = uc.kahn_triple(p)
+        triple = uc.kahn_triple(7, 3)
         assert value == uc.occupancy(triple.x, triple.y, triple.z, Fraction(3, 8)).s1
 
 
@@ -149,16 +147,15 @@ def test_criterion_6_property_suites(announce):
             y = uc.random_upset(n, rng)
             assert uc.hk_defect(x, y, p) >= 0
 
-        # pull_back preserves measure: count = mu(S, |I|/2^b) * 2^(b m)
+        # pull_back preserves measure: count = mu(S, k/2^b) * 2^(b m)
         rng = random.Random(7)
-        selectors = {b: uc.enumerate_upsets_qn(b) for b in (1, 2, 3)}
         for _ in range(200):
             m = rng.randrange(1, 6)
             b = rng.randrange(1, 4)
             s = uc.random_upset(m, rng)
-            g = uc.LiftGadget(b, rng.choice(selectors[b]))
-            lifted = uc.pull_back(s, g)
-            assert lifted.count == uc.measure(s, uc.gadget_bias(g)) * (1 << lifted.n)
+            k = rng.randrange((1 << b) + 1)
+            lifted = uc.pull_back(s, k, b)
+            assert lifted.count == uc.measure(s, Fraction(k, 1 << b)) * (1 << lifted.n)
             assert uc.is_upward_closed(lifted)
 
         # top-up moves pool points from the 2-class to the 3-class only
@@ -201,7 +198,8 @@ def test_criterion_7_search_reproduction(announce, console):
             for seed in range(8)
         ]
         for res in results:
-            assert res.value == objective.value(res.triple)
+            t = res.triple
+            assert res.value == uc.occupancy(t.x, t.y, t.z).s1
             assert res.value <= bound
         assert sum(r.iterations for r in results) <= 10**6
         assert max(r.value for r in results) >= Fraction(13, 32)

@@ -642,6 +642,10 @@ class TestWorkBudget:
             ("qcurve", "--n", "3163", "--l", "3", "--points", "1/3"),
             # about 17036 ternary rounds, charged 17036^3 / 2^14 steps
             ("bound", "--rho", "3/8", "--maximize-tol", f"1/{10**3000}"),
+            # a 997-bit bias: 800^2 x (1 + 800 x 997^2 / 2^15) steps a row
+            ("qcurve", "--n", "800", "--l", "3", "--points", f"1/{10**300 + 7}"),
+            # a 13288-bit bias: 2^12 + (12 x 13288)^2 / 2^15 steps a trial
+            ("hk-random", "--n", "12", "--trials", "20", "--p", f"1/{10**4000 + 7}"),
         ],
     )
     def test_over_budget_exits_2(self, capsys, no_work, argv):
@@ -659,6 +663,8 @@ class TestWorkBudget:
             ("search", "--n", "16", "--rho", "1/2", "--restarts", "2", "--iters", "0"),
             ("qcurve", "--n", "3162", "--l", "3", "--points", "1/3"),
             ("bound", "--rho", "3/8", "--maximize-tol", f"1/{10**900}"),
+            ("qcurve", "--n", "50", "--l", "3", "--points", f"1/{10**300 + 7}"),
+            ("hk-random", "--n", "12", "--trials", "12", "--p", f"1/{10**4000 + 7}"),
         ],
     )
     def test_within_budget_starts_work(self, capsys, no_work, argv):

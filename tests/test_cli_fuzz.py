@@ -209,6 +209,9 @@ def _verdicts(argv: list[str], out: str) -> list[bool] | None:
 # each poset scan over the budget, refused before its first pair
 @example((["poset", "--file", "poset.json"], {"poset.json": HUGE_POSETS[0]}))
 @example((["poset", "--file", "poset.json"], {"poset.json": HUGE_POSETS[1]}))
+# a bias whose size puts a qcurve row or a hk-random trial over the budget
+@example((["qcurve", "--n", "800", "--l", "3", "--points", f"1/{BIG}"], {}))
+@example((["hk-random", "--n", "12", "--trials", "20", "--p", f"1/{10**4000 + 7}"], {}))
 def test_every_exit_is_honest(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:

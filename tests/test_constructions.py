@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import upcube as uc
 from upcube import setcube
-from upcube.constructions import ConstructionParams, TripleSystem
+from upcube.constructions import TripleSystem
 from upcube.errors import InvalidParams, NotUpwardClosed, OutOfRange
 
 from cube_strategies import open_biases
@@ -69,7 +69,7 @@ class TestBasicFamilies:
             assert len(t._blocks) == 1 << max(0, n - 3)
             assert set(t) == {m for m in cube if m.bit_count() >= l}
         for l in range(1, n - 1):
-            z = uc.kahn_triple(ConstructionParams(n, l)).z
+            z = uc.kahn_triple(n, l).z
             assert set(z) == {
                 m for m in cube if m.bit_count() > l or (m.bit_count() == l and not m & 0b11)
             }
@@ -90,14 +90,18 @@ class TestTripleSystem:
             TripleSystem(uc.threshold(3, 1), uc.threshold(4, 1), uc.threshold(3, 1))
 
     def test_params_validation(self):
-        with pytest.raises(InvalidParams):
-            ConstructionParams(5, 4)
-        with pytest.raises(InvalidParams):
-            ConstructionParams(5, 0)
+        for call in (uc.kahn_triple, lambda n, l: uc.q_formula(n, l, Fraction(1, 2))):
+            with pytest.raises(InvalidParams, match="need 1 <= l <= n-2, got n=5, l=4"):
+                call(5, 4)
+            with pytest.raises(InvalidParams, match="need 1 <= l <= n-2, got n=5, l=0"):
+                call(5, 0)
         from upcube.errors import InvalidBias
 
         with pytest.raises(InvalidBias):
-            ConstructionParams(7, 3, Fraction(7, 6))
+            uc.q_formula(7, 3, Fraction(7, 6))
+        # the level is checked first, as in qcurve after each bias
+        with pytest.raises(InvalidParams):
+            uc.q_formula(5, 4, Fraction(7, 6))
 
 
 class TestQ5:
@@ -134,7 +138,7 @@ class TestQ5:
 
 class TestKahnTriple:
     def test_shape_7_3(self):
-        t = uc.kahn_triple(ConstructionParams(7, 3))
+        t = uc.kahn_triple(7, 3)
         assert t.n == 7
         assert t.label == "kahn(n=7,l=3)"
         assert uc.measure(t.z, Fraction(3, 8)) == Fraction(678402, 2097152)
@@ -142,7 +146,7 @@ class TestKahnTriple:
     def test_z_level_counts_7_3(self):
         from math import comb
 
-        t = uc.kahn_triple(ConstructionParams(7, 3))
+        t = uc.kahn_triple(7, 3)
         lev = naive_level_counts(t.z)
         # levels > 3 are full; level 3 keeps only sets avoiding both coords
         assert lev[:3] == (0, 0, 0)
@@ -154,13 +158,13 @@ class TestKahnTriple:
         # slice below the patch has C(n-2, k-1) members
         from math import comb
 
-        t = uc.kahn_triple(ConstructionParams(7, 3))
+        t = uc.kahn_triple(7, 3)
         only_x = uc.Family(7, t.x.bits & ~t.y.bits & ~t.z.bits)
         lev = naive_level_counts(only_x)
         assert lev[1:4] == tuple(comb(5, k - 1) for k in (1, 2, 3))
 
     def test_small_instance_exceeds_baseline(self):
-        t = uc.kahn_triple(ConstructionParams(5, 3))
+        t = uc.kahn_triple(5, 3)
         prof = uc.occupancy(t.x, t.y, t.z)
         assert prof.counts == (7, 15, 6, 4)
         assert prof.s1 == Fraction(15, 32)
@@ -168,15 +172,15 @@ class TestKahnTriple:
 
 class TestQFormula:
     def test_value_at_one_third(self):
-        assert uc.q_formula(ConstructionParams(7, 3, Fraction(1, 3))) == Fraction(4, 9)
+        assert uc.q_formula(7, 3, Fraction(1, 3)) == Fraction(4, 9)
 
     def test_value_at_three_eighths(self):
-        got = uc.q_formula(ConstructionParams(7, 3, Fraction(3, 8)))
+        got = uc.q_formula(7, 3, Fraction(3, 8))
         assert got == Fraction(937950, 2097152)
         assert got > Fraction(4, 9)
 
     def test_half_matches_counts(self):
-        assert uc.q_formula(ConstructionParams(5, 3)) == Fraction(15, 32)
+        assert uc.q_formula(5, 3, Fraction(1, 2)) == Fraction(15, 32)
 
     @given(
         st.integers(4, 9),
@@ -185,19 +189,18 @@ class TestQFormula:
     )
     def test_matches_occupancy(self, n, data, p):
         l = data.draw(st.integers(1, n - 2))
-        params = ConstructionParams(n, l, p)
-        t = uc.kahn_triple(params)
+        t = uc.kahn_triple(n, l)
         prof = uc.occupancy(t.x, t.y, t.z, p=p)
-        assert uc.q_formula(params) == prof.s1
+        assert uc.q_formula(n, l, p) == prof.s1
 
     @pytest.mark.parametrize("n,l", [(5, 2), (6, 3), (7, 3), (8, 4)])
     def test_matches_naive_oracle(self, n, l):
         p = Fraction(2, 7)
-        assert uc.q_formula(ConstructionParams(n, l, p)) == naive_q(n, l, p)
+        assert uc.q_formula(n, l, p) == naive_q(n, l, p)
 
     def test_small_bias_limit(self):
         # as p -> 0 every term carries a positive power of p
-        got = uc.q_formula(ConstructionParams(7, 3, Fraction(1, 10**6)))
+        got = uc.q_formula(7, 3, Fraction(1, 10**6))
         assert 0 < got < Fraction(1, 10**5)
 
 

@@ -12,7 +12,7 @@ from upcube.errors import (
     TooLarge,
 )
 from upcube import lift, setcube
-from upcube.lift import LiftGadget, _lift_bits
+from upcube.lift import _lift_bits
 
 from cube_strategies import upsets
 from oracles import (
@@ -24,89 +24,94 @@ from oracles import (
 )
 
 
+def naive_gadget(k: int, b: int) -> set[int]:
+    """The first k points of Q_b by (descending size, ascending mask)."""
+    return set(sorted(range(1 << b), key=lambda d: (-d.bit_count(), d))[:k])
+
+
 class TestGadget:
     def test_three_eighths(self):
-        g = uc.three_eighths_gadget()
-        assert g.b == 3
-        assert g.i_fam.count == 3
-        assert uc.gadget_bias(g) == Fraction(3, 8)
+        # the points 011, 101 and 111
+        assert uc.gadget(3, 3) == 0b10101000
 
     def test_identity_gadget(self):
-        g = LiftGadget(1, uc.Family(1, 0b10))
-        assert uc.gadget_bias(g) == Fraction(1, 2)
+        assert uc.gadget(1, 1) == 0b10
 
     def test_full_selector(self):
-        g = LiftGadget(2, ~uc.empty_family(2))
-        assert uc.gadget_bias(g) == 1
+        assert uc.gadget(4, 2) == 0b1111
+        assert uc.gadget(0, 2) == 0
 
     def test_width_out_of_range(self):
-        with pytest.raises(InvalidParams):
-            LiftGadget(0, ~uc.empty_family(0))
-        with pytest.raises(InvalidParams):
-            LiftGadget(5, ~uc.empty_family(5))
+        with pytest.raises(InvalidParams, match="block width 0 outside 1..4"):
+            uc.gadget(0, 0)
+        with pytest.raises(InvalidParams, match="block width 5 outside 1..4"):
+            uc.gadget(3, 5)
 
-    def test_selector_dimension_mismatch(self):
-        with pytest.raises(InvalidParams):
-            LiftGadget(3, ~uc.empty_family(2))
+    def test_size_out_of_range(self):
+        for b in (1, 2, 3, 4):
+            for k in (-1, (1 << b) + 1):
+                with pytest.raises(InvalidParams, match=f"gadget size {k} outside 0..{1 << b}"):
+                    uc.gadget(k, b)
 
-    def test_selector_must_be_monotone(self):
-        with pytest.raises(NotUpwardClosed):
-            LiftGadget(2, uc.Family(2, 1 << 0b01))
+    def test_every_prefix_matches_naive_and_is_closed(self):
+        for b in (1, 2, 3, 4):
+            for k in range((1 << b) + 1):
+                pts = fam_to_set(uc.Family(b, uc.gadget(k, b)))
+                assert pts == naive_gadget(k, b)
+                assert naive_is_upward_closed(b, pts)
+
+    def test_gadget_checked_before_dimension(self):
+        # as for the selector, a bad (k, b) is named even when b*m > N_MAX
+        with pytest.raises(InvalidParams, match="gadget size 9"):
+            uc.pull_back(~uc.empty_family(9), 9, 3)
+        with pytest.raises(InvalidParams, match="block width 5"):
+            uc.pull_back(~uc.empty_family(9), 3, 5)
 
 
 class TestPullBack:
     def test_identity_width(self):
         # b=1 with I={ {1} } relabels nothing: the lift is the family itself
-        g = LiftGadget(1, uc.Family(1, 0b10))
         fam = uc.threshold(4, 2)
-        assert uc.pull_back(fam, g) == fam
+        assert uc.pull_back(fam, 1, 1) == fam
 
     def test_empty_and_full(self):
-        g = uc.three_eighths_gadget()
-        assert uc.pull_back(uc.empty_family(2), g) == uc.empty_family(6)
-        assert uc.pull_back(~uc.empty_family(2), g) == ~uc.empty_family(6)
+        assert uc.pull_back(uc.empty_family(2), 3, 3) == uc.empty_family(6)
+        assert uc.pull_back(~uc.empty_family(2), 3, 3) == ~uc.empty_family(6)
 
     def test_dictator_lift_count(self):
-        g = uc.three_eighths_gadget()
-        lifted = uc.pull_back(uc.dictator(7, 1), g)
+        lifted = uc.pull_back(uc.dictator(7, 1), 3, 3)
         assert lifted.n == 21
         assert lifted.count == 786432  # 3/8 * 2^21
 
     def test_matches_naive(self):
-        g = uc.three_eighths_gadget()
         fam = uc.up_closure(uc.Family(3, 1 << 0b010))
-        got = uc.pull_back(fam, g)
-        want = naive_pull_back(set(fam), fam.n, set(g.i_fam), g.b)
+        got = uc.pull_back(fam, 3, 3)
+        want = naive_pull_back(set(fam), fam.n, naive_gadget(3, 3), 3)
         assert set(got) == want
 
     @given(upsets(max_n=5), st.integers(1, 3), st.data())
     def test_measure_preserving(self, fam, b, data):
         if b * fam.n > 15:
             b = 1
-        sel_upsets = uc.enumerate_upsets_qn(b)
-        i_fam = data.draw(st.sampled_from(sel_upsets))
-        g = LiftGadget(b, i_fam)
-        p = uc.gadget_bias(g)
-        lifted = uc.pull_back(fam, g)
+        k = data.draw(st.integers(0, 1 << b))
+        p = Fraction(k, 1 << b)
+        lifted = uc.pull_back(fam, k, b)
         assert lifted.count == uc.measure(fam, p) * (1 << lifted.n)
         assert uc.is_upward_closed(lifted)
 
     def test_lift_respects_lattice_ops(self):
-        g = uc.three_eighths_gadget()
         a, b = uc.dictator(4, 1), uc.threshold(4, 3)
-        assert uc.pull_back(a, g) & uc.pull_back(b, g) == uc.pull_back(a & b, g)
-        assert uc.pull_back(a, g) | uc.pull_back(b, g) == uc.pull_back(a | b, g)
+        assert uc.pull_back(a, 3, 3) & uc.pull_back(b, 3, 3) == uc.pull_back(a & b, 3, 3)
+        assert uc.pull_back(a, 3, 3) | uc.pull_back(b, 3, 3) == uc.pull_back(a | b, 3, 3)
 
     def test_non_monotone_input_stays_non_monotone(self):
-        g = uc.three_eighths_gadget()
         fam = uc.Family(2, 1 << 0b01)  # single non-top point
-        assert not uc.is_upward_closed(uc.pull_back(fam, g))
+        assert not uc.is_upward_closed(uc.pull_back(fam, 3, 3))
 
     def test_dimension_overflow(self):
-        g = uc.three_eighths_gadget()
-        assert uc.pull_back(~uc.empty_family(8), g).n == 24  # exactly at the cap
+        assert uc.pull_back(~uc.empty_family(8), 3, 3).n == 24  # exactly at the cap
         with pytest.raises(TooLarge, match="dimension 27 exceeds N_MAX=24"):
-            uc.pull_back(~uc.empty_family(9), g)
+            uc.pull_back(~uc.empty_family(9), 3, 3)
 
     def test_dimension_checked_before_lifting(self, monkeypatch):
         def refuse(*args):
@@ -114,7 +119,7 @@ class TestPullBack:
 
         monkeypatch.setattr(lift, "_lift_bits", refuse)
         with pytest.raises(TooLarge):
-            uc.pull_back(~uc.empty_family(9), uc.three_eighths_gadget())
+            uc.pull_back(~uc.empty_family(9), 3, 3)
 
     @pytest.mark.parametrize("block", [3, 4])
     @pytest.mark.parametrize("b", [1, 2, 3, 4])
@@ -123,28 +128,26 @@ class TestPullBack:
         # (b, m), down to a single point (k = 0 at b = 4, BLOCK = 3)
         monkeypatch.setattr(setcube, "BLOCK", block)
         rng = random.Random(1000 * block + b)
-        selectors = uc.enumerate_upsets_qn(b)
         for m in range(12 // b + 1):
-            g = LiftGadget(b, rng.choice(selectors))
+            k = rng.randrange((1 << b) + 1)
             s = uc.Family(m, rng.getrandbits(1 << m))
-            got = uc.pull_back(s, g)
+            got = uc.pull_back(s, k, b)
             assert len(got._blocks) == 1 << max(0, b * m - block)
-            assert set(got) == naive_pull_back(set(s), m, set(g.i_fam), b)
+            assert set(got) == naive_pull_back(set(s), m, naive_gadget(k, b), b)
             assert got._upward_closed is None  # never marked closed
 
     @pytest.mark.parametrize("b, m", [(1, 17), (2, 9), (3, 6), (4, 5), (3, 7), (3, 8), (4, 6)])
     def test_blocked_matches_joined_lift_bits(self, b, m):
         # bm = 17, 18, 18, 20, 21, 24, 24: above BLOCK, against the one-int lift
         rng = random.Random(b * m)
-        for sel in rng.sample(uc.enumerate_upsets_qn(b), 2):
+        for k in rng.sample(range((1 << b) + 1), 2):
             s = uc.Family(m, rng.getrandbits(1 << m))
-            assert uc.pull_back(s, LiftGadget(b, sel)).bits == _lift_bits(s.bits, m, sel.bits, b)
+            assert uc.pull_back(s, k, b).bits == _lift_bits(s.bits, m, uc.gadget(k, b), b)
 
     def test_blocked_lift_never_joins(self, monkeypatch):
         # n = 21 > BLOCK: the pull-backs and the top-up of the Q_21 build
         # work on the 8 KiB blocks and the 2^BLOCK-bit tables only
-        g = uc.three_eighths_gadget()
-        base = uc.kahn_triple(uc.ConstructionParams(7, 3, Fraction(3, 8)))
+        base = uc.kahn_triple(7, 3)
         for name in ("_join", "_blocks"):
             monkeypatch.setattr(setcube, name, lambda *a, name=name: pytest.fail(f"{name} called"))
         for name in ("absent_masks", "level_masks"):
@@ -157,8 +160,8 @@ class TestPullBack:
 
             monkeypatch.setattr(setcube, name, small_only)
         monkeypatch.setattr(lift, "level_masks", setcube.level_masks)
-        z0 = uc.pull_back(base.z, g)
-        pool = uc.pull_back((base.x & base.y) - base.z, g)
+        z0 = uc.pull_back(base.z, 3, 3)
+        pool = uc.pull_back((base.x & base.y) - base.z, 3, 3)
         z1 = uc.topup_to_count(z0, pool, 786432)
         assert (z0.n, z0.count, pool.count, z1.count) == (21, 678402, 112500, 786432)
         assert z1._upward_closed is True  # checked once, cached for TripleSystem
@@ -287,13 +290,12 @@ class TestBuildQ21:
     def test_base_certificate_checked(self, monkeypatch, name):
         # a pull-back that drops one point of the named family is caught
         # by its base measure, not by an assert
-        g = uc.three_eighths_gadget()
-        base = uc.kahn_triple(uc.ConstructionParams(7, 3, Fraction(3, 8)))
+        base = uc.kahn_triple(7, 3)
         bad = {"X": base.x, "Y": base.y, "Z": base.z, "pool": (base.x & base.y) - base.z}[name]
         honest = lift.pull_back
 
-        def lossy(s, gadget):
-            out = honest(s, gadget)
+        def lossy(s, k, b):
+            out = honest(s, k, b)
             if s == bad:
                 return uc.Family(out.n, out.bits & (out.bits - 1))
             return out

@@ -18,7 +18,7 @@ from upcube.errors import (
     OutOfRange,
     TooLarge,
 )
-from upcube.search import DEDEKIND, part_measures
+from upcube.search import DEDEKIND, _Scorer, part_measures
 from upcube.setcube import _addable_block, _minimal_block, iter_bits
 
 
@@ -59,15 +59,17 @@ class TestObjective:
         with pytest.raises(InvalidBias):
             uc.SearchObjective(bias=Fraction(1))
 
+    # the climb's integer scorer, over its denominator, is the exact value
     def test_s1_value_on_q5(self):
         t = uc.q5_triple()
-        assert uc.SearchObjective().value(t) == Fraction(13, 32)
+        scorer = _Scorer(5, uc.SearchObjective())
+        assert Fraction(scorer.score(t.x.bits, t.y.bits, t.z.bits), scorer.denom) == Fraction(13, 32)
 
     def test_min_part_value(self):
         t = uc.q5_triple()
-        obj = uc.SearchObjective(kind="min_part_density")
+        scorer = _Scorer(5, uc.SearchObjective(kind="min_part_density"))
         parts = part_measures(t, Fraction(1, 2))
-        assert obj.value(t) == min(parts)
+        assert Fraction(scorer.score(t.x.bits, t.y.bits, t.z.bits), scorer.denom) == min(parts)
         assert sum(parts) == Fraction(13, 32)
 
     def test_part_measures_disjoint_parts(self):
@@ -110,6 +112,10 @@ class TestExhaustive:
     def test_first_best_triple_and_triple_count(self, kind):
         # strict scan of the equal-count triples, counts ascending
         obj = uc.SearchObjective(kind=kind)
+        value = {
+            "s1_density": lambda t: uc.occupancy(*t).s1,
+            "min_part_density": lambda t: min(part_measures(uc.TripleSystem(*t), Fraction(1, 2))),
+        }[kind]
         by_count: dict[int, list] = {}
         for fam in uc.enumerate_upsets_qn(3):
             by_count.setdefault(fam.count, []).append(fam)
@@ -117,7 +123,7 @@ class TestExhaustive:
         for count in sorted(by_count):
             for t in combinations_with_replacement(by_count[count], 3):
                 examined += 1
-                v = obj.value(uc.TripleSystem(*t))
+                v = value(t)
                 if v > best_value:
                     best, best_value = t, v
         res = uc.exhaustive_best(3, obj)
@@ -139,7 +145,7 @@ class TestLocalSearch:
         assert t.x.count == t.y.count == t.z.count == 16
         for fam in (t.x, t.y, t.z):
             assert uc.is_upward_closed(fam)
-        assert res.value == uc.SearchObjective().value(t)
+        assert res.value == uc.occupancy(t.x, t.y, t.z).s1
         assert t.label == "local(n=5,seed=3)"
 
     def test_never_beats_lp_bound(self):
@@ -181,7 +187,8 @@ class TestLocalSearch:
     @given(st.integers(0, 30))
     def test_value_always_recomputable(self, seed):
         res = uc.local_search(3, Fraction(1, 2), uc.SearchObjective(), seed=seed, max_iters=60)
-        assert res.value == uc.SearchObjective().value(res.triple)
+        t = res.triple
+        assert res.value == uc.occupancy(t.x, t.y, t.z).s1
 
     @given(
         st.integers(2, 6).flatmap(
