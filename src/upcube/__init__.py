@@ -53,7 +53,6 @@ from .posets import (
     poset_occupancy,
 )
 from .search import (
-    SearchObjective,
     SearchResult,
     best_of_restarts,
     enumerate_upsets_qn,

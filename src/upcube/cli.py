@@ -55,7 +55,7 @@ def dec10(x: Fraction | int) -> str:
 # size), a hill-climb iteration at n <= 5 (search: restarts x (iters x
 # steps per iteration + start-up), --stop-at or not, since a --stop-at that
 # no restart reaches ends none of them), a hundredth of a report row (bound
-# --sweep, qcurve; a qcurve row is charged by n and the bias's size), since
+# --sweep, qcurve; a q(n, l, p) there or in verify kahn is `_q_steps`), since
 # a row holds exact rationals and their decimals, or about a microsecond of
 # a poset scan (charged per pair of upsets by the weights' size) or of the
 # maximizer's ternary search.  Checked before any of the work starts.
@@ -66,6 +66,17 @@ ROW_STEPS = 100
 def _check_work(what: str, steps: int) -> None:
     if steps > WORK_BUDGET:
         raise TooLarge(f"{what} asks for {steps} steps of work, above the budget of {WORK_BUDGET}")
+
+
+def _q_steps(n: int, d: int) -> int:
+    """Steps charged for one q(n, l, p), with d the bit length of p's
+    denominator b.  q sums n terms over b^n: at d = 2 and n = 24, 100 and
+    1000 one took 0.2 ms, 1.2 ms and 0.12 s, under n^2 steps.  Once n d^2
+    passes 2^15 the gcds of n d-bit ints take over, n^3 d^2 / 2^15 steps: at
+    d = 997 and n = 50, 100 and 200 one took 0.22, 2.4 and 19.5 s.  Over
+    n = 10..3000 and d = 2..13300 one took at most 0.15 us per step charged
+    (2 CPUs, CPython 3.11)."""
+    return n * n * (1 + (n * d * d >> 15))
 
 
 def _rat_arg(s: str) -> Fraction:
@@ -137,6 +148,8 @@ def _verify_q5(args) -> tuple[dict, int]:
 def _verify_kahn(args) -> tuple[dict, int]:
     p = check_bias(args.p)
     triple = constructions.kahn_triple(args.n, args.l)
+    # q_formula, and occupancy's weights before it, grow with p's size
+    _check_work(f"q_formula at n = {args.n}", _q_steps(args.n, p.denominator.bit_length()))
     prof = occupancy(triple.x, triple.y, triple.z, p)
     formula = constructions.q_formula(args.n, args.l, p)
     results = {
@@ -299,14 +312,7 @@ def _cmd_qcurve(args) -> tuple[dict, int]:
         size, d = args.grid + 1, args.grid.bit_length()
     else:
         raise InvalidParams("qcurve needs --grid or --points")
-    # q(n, l, p) sums n terms over the denominator b^n of p = a/b, d = bits
-    # of b: at d = 2 and n = 24, 100 and 1000 one row took 0.2 ms, 1.2 ms
-    # and 0.12 s, under n^2 steps.  Once n d^2 passes 2^15 the gcds of n d-bit
-    # ints take over, n^3 d^2 / 2^15 steps: at d = 997 and n = 50, 100 and
-    # 200 a row took 0.22, 2.4 and 19.5 s.  Over n = 10..3000 and d = 2..13300
-    # a row took at most 0.15 us per step charged (2 CPUs, CPython 3.11).
-    row = args.n * args.n * (1 + (args.n * d * d >> 15))
-    _check_work(f"{size} rows at n = {args.n}", size * max(ROW_STEPS, row))
+    _check_work(f"{size} rows at n = {args.n}", size * max(ROW_STEPS, _q_steps(args.n, d)))
     grid = args.points or [Fraction(i, args.grid) for i in range(size)]
     rows = [
         {"p": rat(p), "q": rat(q), "q_dec": dec10(q), "exceeds_4_9": q > Fraction(4, 9)}
@@ -370,8 +376,7 @@ def _cmd_build(args) -> tuple[dict, int]:
 
 
 def _cmd_search(args) -> tuple[dict, int]:
-    kind = {"s1": "s1_density", "min-part": "min_part_density"}[args.objective]
-    objective = search.SearchObjective(kind=kind, bias=args.p)
+    p = search._check_objective(args.objective, args.p)
     search.check_search_dim(args.n)
     # A restart's start-up and a climb iteration, in steps of about 1.3 us
     # (2 CPUs, CPython 3.11).  At n = 5, 9, 12, 14, 16 the start-up took
@@ -386,12 +391,12 @@ def _cmd_search(args) -> tuple[dict, int]:
     )
     seeds = range(args.seed, args.seed + args.restarts)
     result = search.best_of_restarts(
-        args.n, args.rho, objective, seeds, max_iters=args.iters, stop_at=args.stop_at
+        args.n, args.rho, seeds, args.objective, p, max_iters=args.iters, stop_at=args.stop_at
     )
     triple = result.triple
-    prof = occupancy(triple.x, triple.y, triple.z, objective.bias)
     bound = bounds.s1_upper_bound(args.rho)
-    parts = search.part_measures(triple, objective.bias)
+    parts = search.part_measures(triple, p)
+    s1 = sum(parts)  # the parts are disjoint
     results = {
         "label": triple.label,
         "value": rat(result.value),
@@ -399,7 +404,7 @@ def _cmd_search(args) -> tuple[dict, int]:
         "iterations": result.iterations,
         "winning_seed": result.seed,
         "counts": [triple.x.count, triple.y.count, triple.z.count],
-        "s1": rat(prof.s1),
+        "s1": rat(s1),
         "part_measures": [rat(v) for v in parts],
         "bound_at_rho": rat(bound),
     }
@@ -412,10 +417,10 @@ def _cmd_search(args) -> tuple[dict, int]:
     }
     # The LP bound holds at a common p-measure of the three families.  Equal
     # counts give one at p = 1/2 (it is rho), but not in general.
-    mus = {measure(f, objective.bias) for f in fams}
+    mus = {measure(f, p) for f in fams}
     notes = None
     if len(mus) == 1:
-        verdicts["s1_within_bound"] = prof.s1 <= bounds.s1_upper_bound(*mus)
+        verdicts["s1_within_bound"] = s1 <= bounds.s1_upper_bound(*mus)
     else:
         notes = ["s1_within_bound is left out: the LP bound needs a common p-measure"]
     return _report(
@@ -631,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("search", help="hill-climb triples of equal-count upsets")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=_rat_arg, required=True)
-    p.add_argument("--objective", choices=("s1", "min-part"), default="s1")
+    p.add_argument("--objective", choices=search.OBJECTIVES, default="s1")
     p.add_argument("--p", type=_rat_arg, default=Fraction(1, 2))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=100_000)

@@ -5,10 +5,11 @@ Dedekind-number-many monotone families, so n <= 5 for listing and n <= 4
 for triples) and scans triples class-by-class.  The heuristic path
 hill-climbs with count-preserving swap moves: insert a point whose
 supersets are all present, delete a minimal point, accept on ties so
-plateaus can be crossed.  All objective comparisons happen on integer
-numerators over the common denominator b^n, so the climb never touches
-floats or allocates Fractions in the hot loop; `stop_at` becomes an
-integer ceiling before the loop starts.
+plateaus can be crossed.  An objective is a name in `OBJECTIVES` and a
+bias p = a/b in (0, 1), checked by `_check_objective`.  Its comparisons
+happen on integer numerators over b^n, so the climb never touches floats
+or allocates Fractions in the hot loop; `stop_at` becomes an integer
+ceiling before the loop starts.
 
 A swap changes the occupancy of exactly two points, so the climb scores
 it in O(1): the change follows from how many of the other two families
@@ -57,7 +58,8 @@ from .constructions import TripleSystem
 from .errors import InvalidBias, InvalidParams, InvariantViolation, TooLarge
 from .posets import _grow_upsets
 
-ENUM_MAX_N = 5
+DEDEKIND = (2, 3, 6, 20, 168, 7581)
+ENUM_MAX_N = len(DEDEKIND) - 1
 EXHAUSTIVE_MAX_N = 4
 # One restart's start-up (three random upsets trimmed to the count) took
 # 1.39 s, 5.14 s and 28.8 s at n = 15, 16, 17, about 5x per dimension.
@@ -69,23 +71,20 @@ SEARCH_MAX_N = 16
 # listing each one made a 2000-iteration climb take 25.7 ms instead of 12.7.
 LIST_MAX_N = 6
 
-DEDEKIND = (2, 3, 6, 20, 168, 7581)
+# What a search maximizes over a triple: "s1", the exactly-one density, or
+# "min-part", the smallest of the three single-family parts.
+OBJECTIVES = ("s1", "min-part")
 
 
-@dataclass(frozen=True)
-class SearchObjective:
-    """What to maximize over a triple: the exactly-one density, or the
-    smallest of the three single-family parts."""
-
-    kind: str = "s1_density"
-    bias: Fraction = Fraction(1, 2)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("s1_density", "min_part_density"):
-            raise InvalidParams(f"unknown objective kind {self.kind!r}")
-        object.__setattr__(self, "bias", check_bias(self.bias))
-        if not 0 < self.bias < 1:
-            raise InvalidBias("search bias must lie strictly inside (0, 1)")
+def _check_objective(objective: str, p: Fraction) -> Fraction:
+    """Reject an objective not in OBJECTIVES or a bias outside (0, 1);
+    return the bias as a Fraction."""
+    if objective not in OBJECTIVES:
+        raise InvalidParams(f"unknown objective {objective!r}")
+    p = check_bias(p)
+    if not 0 < p < 1:
+        raise InvalidBias("search bias must lie strictly inside (0, 1)")
+    return p
 
 
 def part_measures(triple: TripleSystem, p: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -94,31 +93,10 @@ def part_measures(triple: TripleSystem, p: Fraction) -> tuple[Fraction, Fraction
     return (measure(x - (y | z), p), measure(y - (x | z), p), measure(z - (x | y), p))
 
 
-class _Scorer:
-    """Integer-numerator objective evaluation for the hot loop.
-
-    With bias a/b, a size-k point carries weight a^k (b-a)^(n-k)
-    (`level_weights`); scores are measures scaled by b^n, compared as
-    plain ints.
-    """
-
-    def __init__(self, n: int, objective: SearchObjective):
-        self.n = n
-        self.kind = objective.kind
-        self.bias = objective.bias
-        self.weights, self.denom = level_weights(n, objective.bias)
-
-    def parts(self, bx: int, by: int, bz: int) -> list[int]:
-        """Scaled masses of the three exactly-one parts."""
-        return [self._mass(bx & ~by & ~bz), self._mass(by & ~bx & ~bz), self._mass(bz & ~bx & ~by)]
-
-    def score(self, bx: int, by: int, bz: int) -> int:
-        if self.kind == "s1_density":
-            return self._mass((bx & ~by & ~bz) | (by & ~bx & ~bz) | (bz & ~bx & ~by))
-        return min(self.parts(bx, by, bz))
-
-    def _mass(self, bits: int) -> int:
-        return _mass(self.n, [bits], self.bias)
+def _parts(n: int, p: Fraction, bx: int, by: int, bz: int) -> list[int]:
+    """The three exactly-one parts' masses scaled by b^n at p = a/b: ints
+    that an objective compares (`sum` for "s1", `min` for "min-part")."""
+    return [_mass(n, [b], p) for b in (bx & ~by & ~bz, by & ~bx & ~bz, bz & ~bx & ~by)]
 
 
 @dataclass(frozen=True)
@@ -146,15 +124,16 @@ def enumerate_upsets_qn(n: int) -> list[Family]:
     return out
 
 
-def exhaustive_best(n: int, objective: SearchObjective) -> SearchResult:
+def exhaustive_best(n: int, objective: str = "s1", p: Fraction = Fraction(1, 2)) -> SearchResult:
     """Exact maximum of the objective over all equal-count upset triples.
 
     Both objectives are symmetric in (X, Y, Z), so unordered triples with
     repetition suffice.
     """
+    p = _check_objective(objective, p)
     if n > EXHAUSTIVE_MAX_N:
         raise TooLarge(f"exhaustive triple scan capped at n={EXHAUSTIVE_MAX_N}, got {n}")
-    scorer = _Scorer(n, objective)
+    score = sum if objective == "s1" else min
     by_count: dict[int, list[Family]] = {}
     for fam in enumerate_upsets_qn(n):
         by_count.setdefault(fam.count, []).append(fam)
@@ -162,12 +141,12 @@ def exhaustive_best(n: int, objective: SearchObjective) -> SearchResult:
         t for count in sorted(by_count) for t in combinations_with_replacement(by_count[count], 3)
     )
     # max keeps the first triple with the best score
-    scored = ((scorer.score(x.bits, y.bits, z.bits), (x, y, z)) for x, y, z in triples)
+    scored = ((score(_parts(n, p, x.bits, y.bits, z.bits)), (x, y, z)) for x, y, z in triples)
     best_score, best_triple = max(scored, key=lambda pair: pair[0])
     triple = TripleSystem(*best_triple, label=f"exhaustive(n={n})")
     return SearchResult(
         triple=triple,
-        value=Fraction(best_score, scorer.denom),
+        value=Fraction(best_score, p.denominator**n),
         iterations=sum(comb(len(fams) + 2, 3) for fams in by_count.values()),  # 3-multisets
         seed=0,
     )
@@ -232,7 +211,8 @@ def _random_upset_with_count(n: int, count: int, rng: random.Random) -> int:
 def local_search(
     n: int,
     rho_target: Fraction | int | str,
-    objective: SearchObjective,
+    objective: str = "s1",
+    p: Fraction = Fraction(1, 2),
     seed: int = 0,
     max_iters: int = 100_000,
     stop_at: Fraction | None = None,
@@ -247,9 +227,10 @@ def local_search(
 
     The score is a running integer (see the module docstring); the best
     triple is rescored in full before returning, and a disagreement
-    raises InvariantViolation.  n is checked against SEARCH_MAX_N before
-    any mask table is built.
+    raises InvariantViolation.  The objective and n (against SEARCH_MAX_N)
+    are checked before any mask table is built.
     """
+    p = _check_objective(objective, p)
     check_search_dim(n)
     if max_iters < 0:
         raise InvalidParams(f"max_iters must be nonnegative, got {max_iters}")
@@ -259,23 +240,23 @@ def local_search(
         raise InvalidParams(f"rho={rho_target} is not a multiple of 2^-{n}")
     count = count_f.numerator
     rng = random.Random(seed)
-    scorer = _Scorer(n, objective)
-    weights = scorer.weights
-    s1 = objective.kind == "s1_density"
+    weights, denom = level_weights(n, p)
+    s1 = objective == "s1"
+    score = sum if s1 else min
     fams = [_random_upset_with_count(n, count, rng) for _ in range(3)]
     # Per family until it moves: the _draw_table of its addable mask, its
     # minimal mask, and per drawn point a the _draw_table of a's removal mask.
     addable: list[DrawTable | None] = [None, None, None]
     minimal: list[int | None] = [None, None, None]
     removable: list[dict[int, DrawTable]] = [{}, {}, {}]
-    parts = scorer.parts(*fams)
-    cur = sum(parts) if s1 else min(parts)
+    parts = _parts(n, p, *fams)
+    cur = score(parts)
     best_score, best_fams = cur, tuple(fams)
     # No score exceeds the total mass b^n, so denom + 1 means "never stop".
     if stop_at is None:
-        stop_score = scorer.denom + 1
+        stop_score = denom + 1
     else:
-        stop_frac = Fraction(stop_at) * scorer.denom
+        stop_frac = Fraction(stop_at) * denom
         stop_score = -(-stop_frac.numerator // stop_frac.denominator)
     # The three draws per iteration are _below(getrandbits, k), inlined.
     getrandbits = rng.getrandbits
@@ -337,7 +318,7 @@ def local_search(
                 parts = new
             if s > best_score:
                 best_score, best_fams = s, tuple(fams)
-    if scorer.score(*best_fams) != best_score:
+    if score(_parts(n, p, *best_fams)) != best_score:
         raise InvariantViolation(
             f"running score {best_score} disagrees with a full rescore (n={n}, seed={seed})"
         )
@@ -346,7 +327,7 @@ def local_search(
     )
     return SearchResult(
         triple=triple,
-        value=Fraction(best_score, scorer.denom),
+        value=Fraction(best_score, denom),
         iterations=it,
         seed=seed,
     )
@@ -355,8 +336,9 @@ def local_search(
 def best_of_restarts(
     n: int,
     rho_target: Fraction | int | str,
-    objective: SearchObjective,
     seeds: Iterable[int],
+    objective: str = "s1",
+    p: Fraction = Fraction(1, 2),
     max_iters: int = 100_000,
     stop_at: Fraction | None = None,
 ) -> SearchResult:
@@ -367,7 +349,9 @@ def best_of_restarts(
     """
     best: SearchResult | None = None
     for s in seeds:
-        res = local_search(n, rho_target, objective, seed=s, max_iters=max_iters, stop_at=stop_at)
+        res = local_search(
+            n, rho_target, objective, p, seed=s, max_iters=max_iters, stop_at=stop_at
+        )
         if best is None or (res.value, -res.seed) > (best.value, -best.seed):
             best = res
         if stop_at is not None and best.value >= stop_at:

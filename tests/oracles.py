@@ -176,7 +176,8 @@ def naive_local_search(n, rho, kind, p, seed, max_iters, stop_at=None):
     Makes the same seeded draws in the same order as `local_search`, but
     on plain point sets, with minimal/addable points found by one-step
     subset tests (exact for upsets) and each score summed point by point.
-    Returns (three point sets, exact value, iterations).
+    kind is an objective name, "s1" or "min-part".  Returns (three point
+    sets, exact value, iterations).
     """
     rng = random.Random(seed)
     count = rho * (1 << n)
@@ -213,7 +214,7 @@ def naive_local_search(n, rho, kind, p, seed, max_iters, stop_at=None):
             holders = [i for i in range(3) if m in fams[i]]
             if len(holders) == 1:
                 parts[holders[0]] += weight[m.bit_count()]
-        return sum(parts) if kind == "s1_density" else min(parts)
+        return sum(parts) if kind == "s1" else min(parts)
 
     fams = [random_upset_with_count() for _ in range(3)]
     cur = score(fams)

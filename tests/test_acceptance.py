@@ -184,18 +184,10 @@ def test_criterion_6_property_suites(announce):
 
 def test_criterion_7_search_reproduction(announce, console):
     with announce(7, "search: 8 restarts reach 13/32 within 10^6 total iterations"):
-        objective = uc.SearchObjective()
         bound = uc.s1_upper_bound(Fraction(1, 2))
         results = [
-            uc.local_search(
-                5,
-                Fraction(1, 2),
-                objective,
-                seed=seed,
-                max_iters=125_000,
-                stop_at=Fraction(13, 32),
-            )
-            for seed in range(8)
+            uc.local_search(5, Fraction(1, 2), seed=s, max_iters=125_000, stop_at=Fraction(13, 32))
+            for s in range(8)
         ]
         for res in results:
             t = res.triple
@@ -205,10 +197,7 @@ def test_criterion_7_search_reproduction(announce, console):
         assert max(r.value for r in results) >= Fraction(13, 32)
 
     # min-part objective: report best-found only, no asserted target
-    res = uc.local_search(
-        5, Fraction(1, 2), uc.SearchObjective(kind="min_part_density"), seed=0,
-        max_iters=3000,
-    )
+    res = uc.local_search(5, Fraction(1, 2), "min-part", seed=0, max_iters=3000)
     parts = part_measures(res.triple, Fraction(1, 2))
     console(
         f"[acceptance 7] note: min-part best-found = {res.value} "

@@ -612,6 +612,7 @@ class TestWorkBudget:
             raise RuntimeError("work started")
 
         monkeypatch.setattr(cli, "random_upset", refuse)
+        monkeypatch.setattr(cli, "occupancy", refuse)
         monkeypatch.setattr(cli.bounds, "s1_upper_bound", refuse)
         monkeypatch.setattr(cli.bounds, "bound_maximizer", refuse)
         monkeypatch.setattr(cli.constructions, "qcurve", refuse)
@@ -646,6 +647,8 @@ class TestWorkBudget:
             ("qcurve", "--n", "800", "--l", "3", "--points", f"1/{10**300 + 7}"),
             # a 13288-bit bias: 2^12 + (12 x 13288)^2 / 2^15 steps a trial
             ("hk-random", "--n", "12", "--trials", "20", "--p", f"1/{10**4000 + 7}"),
+            # and 24^2 x (1 + 24 x 13288^2 / 2^15) steps for verify kahn's q_formula
+            ("verify", "kahn", "--n", "24", "--l", "3", "--p", f"1/{10**4000 + 7}"),
         ],
     )
     def test_over_budget_exits_2(self, capsys, no_work, argv):
@@ -665,6 +668,9 @@ class TestWorkBudget:
             ("bound", "--rho", "3/8", "--maximize-tol", f"1/{10**900}"),
             ("qcurve", "--n", "50", "--l", "3", "--points", f"1/{10**300 + 7}"),
             ("hk-random", "--n", "12", "--trials", "12", "--p", f"1/{10**4000 + 7}"),
+            # a 3322-bit bias: 24^2 x (1 + 8082) = 4655808 steps
+            ("verify", "kahn", "--n", "24", "--l", "3", "--p", f"1/{10**1000 + 7}"),
+            ("verify", "kahn", "--n", "7", "--l", "3", "--p", "37/64"),
         ],
     )
     def test_within_budget_starts_work(self, capsys, no_work, argv):

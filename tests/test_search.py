@@ -18,8 +18,13 @@ from upcube.errors import (
     OutOfRange,
     TooLarge,
 )
-from upcube.search import DEDEKIND, _Scorer, part_measures
+from upcube.search import DEDEKIND, _check_objective, _parts, part_measures
 from upcube.setcube import _addable_block, _minimal_block, iter_bits
+
+
+def density_id(value):
+    """A test id naming an objective by the density it measures."""
+    return f"{value.replace('-', '_')}_density" if value in uc.search.OBJECTIVES else None
 
 
 class TestEnumeration:
@@ -52,69 +57,77 @@ class TestEnumeration:
 
 class TestObjective:
     def test_validation(self):
+        with pytest.raises(InvalidParams, match="unknown objective 'profit'"):
+            _check_objective("profit", Fraction(1, 2))
+        # one spelling per objective, the CLI's
         with pytest.raises(InvalidParams):
-            uc.SearchObjective(kind="profit")
+            _check_objective("s1_density", Fraction(1, 2))
         with pytest.raises(InvalidBias):
-            uc.SearchObjective(bias=Fraction(0))
+            _check_objective("s1", Fraction(0))
         with pytest.raises(InvalidBias):
-            uc.SearchObjective(bias=Fraction(1))
+            _check_objective("min-part", Fraction(1))
+        assert _check_objective("min-part", "3/8") == Fraction(3, 8)
+        assert uc.search.OBJECTIVES == ("s1", "min-part")
 
-    # the climb's integer scorer, over its denominator, is the exact value
+    # the climb's integer parts, over b^n, are the exact part measures
     def test_s1_value_on_q5(self):
         t = uc.q5_triple()
-        scorer = _Scorer(5, uc.SearchObjective())
-        assert Fraction(scorer.score(t.x.bits, t.y.bits, t.z.bits), scorer.denom) == Fraction(13, 32)
+        parts = _parts(5, Fraction(1, 2), t.x.bits, t.y.bits, t.z.bits)
+        assert Fraction(sum(parts), 32) == Fraction(13, 32)
 
     def test_min_part_value(self):
         t = uc.q5_triple()
-        scorer = _Scorer(5, uc.SearchObjective(kind="min_part_density"))
         parts = part_measures(t, Fraction(1, 2))
-        assert Fraction(scorer.score(t.x.bits, t.y.bits, t.z.bits), scorer.denom) == min(parts)
+        scaled = _parts(5, Fraction(1, 2), t.x.bits, t.y.bits, t.z.bits)
+        assert Fraction(min(scaled), 32) == min(parts)
         assert sum(parts) == Fraction(13, 32)
 
     def test_part_measures_disjoint_parts(self):
         t = uc.q5_triple()
-        p = Fraction(1, 2)
-        assert part_measures(t, p) == (
-            uc.measure(t.x - (t.y | t.z), p),
-            uc.measure(t.y - (t.x | t.z), p),
-            uc.measure(t.z - (t.x | t.y), p),
-        )
+        for p in (Fraction(1, 2), Fraction(3, 8)):
+            parts = part_measures(t, p)
+            assert parts == (
+                uc.measure(t.x - (t.y | t.z), p),
+                uc.measure(t.y - (t.x | t.z), p),
+                uc.measure(t.z - (t.x | t.y), p),
+            )
+            # disjoint, so they sum to the exactly-one density
+            assert sum(parts) == uc.occupancy(t.x, t.y, t.z, p).s1
+            scaled = _parts(5, p, t.x.bits, t.y.bits, t.z.bits)
+            assert [Fraction(v, p.denominator**5) for v in scaled] == list(parts)
 
 
 class TestExhaustive:
     def test_tiny_optima(self):
-        obj = uc.SearchObjective()
-        assert uc.exhaustive_best(1, obj).value == 0
-        assert uc.exhaustive_best(2, obj).value == Fraction(1, 4)
-        assert uc.exhaustive_best(3, obj).value == Fraction(3, 8)
+        assert uc.exhaustive_best(1).value == 0
+        assert uc.exhaustive_best(2).value == Fraction(1, 4)
+        assert uc.exhaustive_best(3, "s1").value == Fraction(3, 8)
 
     def test_n4_optimum(self):
-        res = uc.exhaustive_best(4, uc.SearchObjective())
+        res = uc.exhaustive_best(4)
         assert res.value == Fraction(3, 8)
         assert res.triple.label == "exhaustive(n=4)"
         assert res.value <= uc.s1_upper_bound(uc.measure(res.triple.x, Fraction(1, 2)))
 
     def test_min_part_small(self):
-        res = uc.exhaustive_best(3, uc.SearchObjective(kind="min_part_density"))
+        res = uc.exhaustive_best(3, "min-part")
         assert res.value == Fraction(1, 8)
 
     def test_equal_counts(self):
-        res = uc.exhaustive_best(3, uc.SearchObjective())
+        res = uc.exhaustive_best(3)
         t = res.triple
         assert t.x.count == t.y.count == t.z.count
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            uc.exhaustive_best(5, uc.SearchObjective())
+            uc.exhaustive_best(5)
 
-    @pytest.mark.parametrize("kind", ["s1_density", "min_part_density"])
+    @pytest.mark.parametrize("kind", uc.search.OBJECTIVES, ids=density_id)
     def test_first_best_triple_and_triple_count(self, kind):
         # strict scan of the equal-count triples, counts ascending
-        obj = uc.SearchObjective(kind=kind)
         value = {
-            "s1_density": lambda t: uc.occupancy(*t).s1,
-            "min_part_density": lambda t: min(part_measures(uc.TripleSystem(*t), Fraction(1, 2))),
+            "s1": lambda t: uc.occupancy(*t).s1,
+            "min-part": lambda t: min(part_measures(uc.TripleSystem(*t), Fraction(1, 2))),
         }[kind]
         by_count: dict[int, list] = {}
         for fam in uc.enumerate_upsets_qn(3):
@@ -126,21 +139,21 @@ class TestExhaustive:
                 v = value(t)
                 if v > best_value:
                     best, best_value = t, v
-        res = uc.exhaustive_best(3, obj)
+        res = uc.exhaustive_best(3, kind)
         assert (res.triple.x, res.triple.y, res.triple.z) == best
         assert (res.value, res.iterations) == (best_value, examined)
 
 
 class TestLocalSearch:
     def test_deterministic_per_seed(self):
-        a = uc.local_search(4, Fraction(1, 2), uc.SearchObjective(), seed=7, max_iters=500)
-        b = uc.local_search(4, Fraction(1, 2), uc.SearchObjective(), seed=7, max_iters=500)
+        a = uc.local_search(4, Fraction(1, 2), seed=7, max_iters=500)
+        b = uc.local_search(4, Fraction(1, 2), seed=7, max_iters=500)
         assert a.triple == b.triple
         assert a.value == b.value
         assert a.iterations == b.iterations
 
     def test_result_is_valid_triple(self):
-        res = uc.local_search(5, Fraction(1, 2), uc.SearchObjective(), seed=3, max_iters=800)
+        res = uc.local_search(5, Fraction(1, 2), seed=3, max_iters=800)
         t = res.triple
         assert t.x.count == t.y.count == t.z.count == 16
         for fam in (t.x, t.y, t.z):
@@ -151,42 +164,39 @@ class TestLocalSearch:
     def test_never_beats_lp_bound(self):
         for seed in range(4):
             res = uc.local_search(
-                5, Fraction(1, 2), uc.SearchObjective(), seed=seed, max_iters=1000
+                5, Fraction(1, 2), seed=seed, max_iters=1000
             )
             assert res.value <= uc.s1_upper_bound(Fraction(1, 2))
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_never_beats_exhaustive(self, n):
-        obj = uc.SearchObjective()
-        exact = uc.exhaustive_best(n, obj).value
-        res = uc.local_search(n, Fraction(1, 2), obj, seed=11, max_iters=2000)
+        exact = uc.exhaustive_best(n).value
+        res = uc.local_search(n, Fraction(1, 2), seed=11, max_iters=2000)
         assert res.value <= exact
 
     def test_min_part_bounded_by_third(self):
-        obj = uc.SearchObjective(kind="min_part_density")
-        res = uc.local_search(4, Fraction(1, 2), obj, seed=5, max_iters=1500)
+        res = uc.local_search(4, Fraction(1, 2), "min-part", seed=5, max_iters=1500)
         assert res.value <= Fraction(1, 3)
 
     def test_biased_objective(self):
-        obj = uc.SearchObjective(bias=Fraction(3, 8))
-        res = uc.local_search(4, Fraction(1, 4), obj, seed=2, max_iters=500)
+        res = uc.local_search(4, Fraction(1, 4), p=Fraction(3, 8), seed=2, max_iters=500)
         assert res.value <= uc.s1_upper_bound(Fraction(3, 8))
 
     def test_stop_at_halts_early(self):
         target = Fraction(13, 32)
         res = uc.local_search(
-            5, Fraction(1, 2), uc.SearchObjective(), seed=5, max_iters=50_000, stop_at=target
+            5, Fraction(1, 2), seed=5, max_iters=50_000, stop_at=target
         )
         assert res.value >= target
         assert res.iterations < 50_000
 
     def test_non_dyadic_density_rejected(self):
         with pytest.raises(InvalidParams, match="is not a multiple of 2"):
-            uc.local_search(5, Fraction(1, 3), uc.SearchObjective())
+            uc.local_search(5, Fraction(1, 3))
 
     @given(st.integers(0, 30))
     def test_value_always_recomputable(self, seed):
-        res = uc.local_search(3, Fraction(1, 2), uc.SearchObjective(), seed=seed, max_iters=60)
+        res = uc.local_search(3, Fraction(1, 2), seed=seed, max_iters=60)
         t = res.triple
         assert res.value == uc.occupancy(t.x, t.y, t.z).s1
 
@@ -194,7 +204,7 @@ class TestLocalSearch:
         st.integers(2, 6).flatmap(
             lambda n: st.tuples(st.just(n), st.integers(0, 1 << n))
         ),
-        st.sampled_from(["s1_density", "min_part_density"]),
+        st.sampled_from(uc.search.OBJECTIVES),
         st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 8), Fraction(5, 7)]),
         st.integers(0, 10**6),
         st.integers(0, 400),
@@ -203,10 +213,7 @@ class TestLocalSearch:
     def test_matches_full_rescore_oracle(self, n_count, kind, p, seed, max_iters, stop_at):
         n, count = n_count
         rho = Fraction(count, 1 << n)
-        res = uc.local_search(
-            n, rho, uc.SearchObjective(kind=kind, bias=p),
-            seed=seed, max_iters=max_iters, stop_at=stop_at,
-        )
+        res = uc.local_search(n, rho, kind, p, seed=seed, max_iters=max_iters, stop_at=stop_at)
         fams, value, iterations = naive_local_search(n, rho, kind, p, seed, max_iters, stop_at)
         assert [set(f) for f in (res.triple.x, res.triple.y, res.triple.z)] == fams
         assert (res.value, res.iterations, res.seed) == (value, iterations, seed)
@@ -216,18 +223,16 @@ class TestLocalSearch:
     @pytest.mark.parametrize(
         "n, rho, kind, p, seed, stop_at",
         [
-            (7, Fraction(1, 2), "s1_density", Fraction(1, 2), 0, None),
-            (7, Fraction(3, 8), "min_part_density", Fraction(3, 8), 1, None),
-            (9, Fraction(1, 2), "s1_density", Fraction(1, 3), 2, None),
-            (9, Fraction(1, 2), "min_part_density", Fraction(1, 2), 3, None),
-            (9, Fraction(1, 2), "s1_density", Fraction(1, 2), 2, Fraction(9, 32)),
+            (7, Fraction(1, 2), "s1", Fraction(1, 2), 0, None),
+            (7, Fraction(3, 8), "min-part", Fraction(3, 8), 1, None),
+            (9, Fraction(1, 2), "s1", Fraction(1, 3), 2, None),
+            (9, Fraction(1, 2), "min-part", Fraction(1, 2), 3, None),
+            (9, Fraction(1, 2), "s1", Fraction(1, 2), 2, Fraction(9, 32)),
         ],
+        ids=density_id,
     )
     def test_matches_oracle_beyond_one_word(self, n, rho, kind, p, seed, stop_at):
-        res = uc.local_search(
-            n, rho, uc.SearchObjective(kind=kind, bias=p),
-            seed=seed, max_iters=200, stop_at=stop_at,
-        )
+        res = uc.local_search(n, rho, kind, p, seed=seed, max_iters=200, stop_at=stop_at)
         fams, value, iterations = naive_local_search(n, rho, kind, p, seed, 200, stop_at)
         assert [set(f) for f in (res.triple.x, res.triple.y, res.triple.z)] == fams
         assert (res.value, res.iterations) == (value, iterations)
@@ -243,13 +248,13 @@ class TestLocalSearch:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, refuse)
         with pytest.raises(TooLarge):
-            uc.local_search(30, Fraction(1, 2), uc.SearchObjective())
+            uc.local_search(30, Fraction(1, 2))
         with pytest.raises(TooLarge, match="capped at n=16"):
-            uc.local_search(17, Fraction(1, 2), uc.SearchObjective())
+            uc.local_search(17, Fraction(1, 2))
         with pytest.raises(TooLarge):
-            uc.local_search(10**12, Fraction(1, 2), uc.SearchObjective())
+            uc.local_search(10**12, Fraction(1, 2))
         with pytest.raises(OutOfRange):
-            uc.local_search(-1, Fraction(1, 2), uc.SearchObjective())
+            uc.local_search(-1, Fraction(1, 2))
 
     def test_negative_iterations_rejected_before_start_up(self, monkeypatch):
         def refuse(*args):
@@ -257,14 +262,39 @@ class TestLocalSearch:
 
         monkeypatch.setattr(search_mod, "_random_upset_with_count", refuse)
         with pytest.raises(InvalidParams):
-            uc.local_search(5, Fraction(1, 2), uc.SearchObjective(), max_iters=-5)
+            uc.local_search(5, Fraction(1, 2), max_iters=-5)
         with pytest.raises(AssertionError):
-            uc.local_search(5, Fraction(1, 2), uc.SearchObjective(), max_iters=0)
+            uc.local_search(5, Fraction(1, 2), max_iters=0)
+
+    def test_bad_objective_rejected_before_start_up(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("start-up ran")
+
+        monkeypatch.setattr(search_mod, "_random_upset_with_count", refuse)
+        half = Fraction(1, 2)
+        for climb in (
+            lambda *args, **kw: uc.local_search(5, half, *args, **kw),
+            lambda *args, **kw: uc.best_of_restarts(5, half, range(3), *args, **kw),
+        ):
+            with pytest.raises(InvalidParams, match="unknown objective 'max'"):
+                climb("max")
+            for p in (Fraction(0), Fraction(1)):
+                with pytest.raises(InvalidBias, match="strictly inside"):
+                    climb(p=p)
 
     def test_running_score_cross_checked(self, monkeypatch):
-        monkeypatch.setattr(search_mod._Scorer, "score", lambda self, *fams: -1)
-        with pytest.raises(InvariantViolation, match="disagrees with a full rescore"):
-            uc.local_search(4, Fraction(1, 2), uc.SearchObjective(), seed=1, max_iters=50)
+        parts, calls = search_mod._parts, []
+
+        def wrong_rescore(*args):
+            # the first call gives the start score, the second the final rescore
+            calls.append(args)
+            return [v + (len(calls) % 2 == 0) for v in parts(*args)]
+
+        monkeypatch.setattr(search_mod, "_parts", wrong_rescore)
+        for objective in uc.search.OBJECTIVES:
+            with pytest.raises(InvariantViolation, match="disagrees with a full rescore"):
+                uc.local_search(4, Fraction(1, 2), objective, seed=1, max_iters=50)
+        assert len(calls) == 4
 
     def test_cross_check_survives_optimize_flag(self):
         code = (
@@ -272,11 +302,15 @@ class TestLocalSearch:
             "import upcube as uc\n"
             "from upcube import search\n"
             "from upcube.errors import InvariantViolation\n"
-            "search._Scorer.score = lambda self, *fams: -1\n"
+            "parts, calls = search._parts, []\n"
+            "def wrong_rescore(*args):\n"
+            "    calls.append(args)\n"
+            "    return [v + (len(calls) > 1) for v in parts(*args)]\n"
+            "search._parts = wrong_rescore\n"
             "try:\n"
-            "    uc.local_search(4, Fraction(1, 2), uc.SearchObjective(), max_iters=50)\n"
+            "    uc.local_search(4, Fraction(1, 2), max_iters=50)\n"
             "except InvariantViolation:\n"
-            "    raise SystemExit(7)\n"
+            "    raise SystemExit(7 if len(calls) == 2 else 8)\n"
         )
         src = str(Path(uc.__file__).parents[1])
         proc = subprocess.run(
@@ -314,23 +348,17 @@ class TestClimbKernels:
 class TestRestarts:
     # At n = 5, rho = 1/2 and 2000 iterations, seeds 5 and 6 are the only
     # ones of 0..7 that reach 13/32, the optimum.
-    Q5_ARGS = (5, Fraction(1, 2), uc.SearchObjective())
+    Q5_ARGS = (5, Fraction(1, 2))
 
     def test_picks_best(self):
-        obj = uc.SearchObjective()
         seeds = list(range(4))
-        best = uc.best_of_restarts(4, Fraction(1, 2), obj, seeds, max_iters=400)
-        singles = [
-            uc.local_search(4, Fraction(1, 2), obj, seed=s, max_iters=400) for s in seeds
-        ]
+        best = uc.best_of_restarts(4, Fraction(1, 2), seeds, max_iters=400)
+        singles = [uc.local_search(4, Fraction(1, 2), seed=s, max_iters=400) for s in seeds]
         assert best.value == max(r.value for r in singles)
 
     def test_tie_prefers_smallest_seed(self):
-        obj = uc.SearchObjective()
-        best = uc.best_of_restarts(3, Fraction(1, 2), obj, [9, 1, 4], max_iters=300)
-        singles = [
-            uc.local_search(3, Fraction(1, 2), obj, seed=s, max_iters=300) for s in [9, 1, 4]
-        ]
+        best = uc.best_of_restarts(3, Fraction(1, 2), [9, 1, 4], max_iters=300)
+        singles = [uc.local_search(3, Fraction(1, 2), seed=s, max_iters=300) for s in [9, 1, 4]]
         top = max(r.value for r in singles)
         assert best.seed == min(r.seed for r in singles if r.value == top)
         # with 2000 iterations, seeds 0, 1, 3 and 4 all stall at 11/32
@@ -339,9 +367,9 @@ class TestRestarts:
 
     def test_empty_seeds(self):
         with pytest.raises(InvalidParams):
-            uc.best_of_restarts(3, Fraction(1, 2), uc.SearchObjective(), [])
+            uc.best_of_restarts(3, Fraction(1, 2), [])
         with pytest.raises(InvalidParams):
-            uc.best_of_restarts(3, Fraction(1, 2), uc.SearchObjective(), range(4, 4))
+            uc.best_of_restarts(3, Fraction(1, 2), range(4, 4))
 
     def test_stop_at_ends_the_restarts(self, monkeypatch):
         seen = []
@@ -379,9 +407,8 @@ class TestRestarts:
 
     @pytest.mark.parametrize("make", [list, iter, lambda s: (x for x in s)])
     def test_accepts_any_iterable_of_seeds(self, make):
-        obj = uc.SearchObjective()
-        want = uc.best_of_restarts(3, Fraction(1, 2), obj, range(2, 6), max_iters=200)
-        got = uc.best_of_restarts(3, Fraction(1, 2), obj, make(range(2, 6)), max_iters=200)
+        want = uc.best_of_restarts(3, Fraction(1, 2), range(2, 6), max_iters=200)
+        got = uc.best_of_restarts(3, Fraction(1, 2), make(range(2, 6)), max_iters=200)
         assert (got.seed, got.value, got.iterations, got.triple) == (
             want.seed, want.value, want.iterations, want.triple,
         )
